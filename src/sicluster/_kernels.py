@@ -1,6 +1,6 @@
-"""Bit-packed kernels for the stabilizer tableau, in two interchangeable lanes.
+"""Bit-packed kernels for the stabilizer tableau.
 
-Layout shared by both lanes ("qubit-major packed words"):
+Layout ("qubit-major packed words"):
 
 * ``xs``, ``zs``: ``(n, W)`` uint64, C-contiguous.  ``xs[q]`` packs the X bits
   of qubit-column ``q`` across all 2n tableau rows; destabilizer ``i`` lives
@@ -12,40 +12,16 @@ Layout shared by both lanes ("qubit-major packed words"):
   passes local for lattice-protocol states while remaining correct (just
   slower) for dense adversarial states.
 
-The numba lane JIT-compiles the hot loops; the numpy lane expresses the same
-updates as vectorized word operations.  The active lane is chosen by the
-``SICLUSTER_KERNELS`` environment variable ("numba" or "numpy"); default is
-numba when importable.  ``benchmarks/bench_kernels.py`` compares the two.
+Each kernel expresses its update as vectorized numpy word operations.  The
+tableau reaches them through :func:`active_lane`, so a caller can swap in a
+substitute object exposing the same static methods (e.g. to time each call).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-
 _U1 = np.uint64(1)
-_U0 = np.uint64(0)
-_U6 = np.uint64(6)
-_U63 = np.uint64(63)
 ODD_MASK = np.uint64(0xAAAAAAAAAAAAAAAA)  # stabilizer row-bits
 EVEN_MASK = np.uint64(0x5555555555555555)  # destabilizer row-bits
 
@@ -81,19 +57,8 @@ def popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def first_stab_bit(vec: np.ndarray) -> int:
-    """First set stabilizer (odd) row-bit in a packed vector, or -1."""
-    masked = vec & ODD_MASK
-    nz = np.flatnonzero(masked)
-    if nz.size == 0:
-        return -1
-    w = int(nz[0])
-    word = int(masked[w])
-    return (w << 6) + (word & -word).bit_length() - 1
-
-
 # ---------------------------------------------------------------------------
-# numpy lane
+# kernels
 # ---------------------------------------------------------------------------
 
 
@@ -253,44 +218,6 @@ def _np_clean_column(xs, zs, rs, q, p):
         rs ^= M
 
 
-def _np_extract_rows(xs, zs, rs, lo, hi, rows, colmap, n_out):
-    """Row-major packed copies of the requested rows (x, z, sign, windows).
-
-    ``colmap[c]`` gives the output column for tableau column c, or -1 to drop
-    it.  Output windows are tight (recomputed from actual mapped support).
-    """
-    wq = max(1, (n_out + 63) >> 6)
-    k = len(rows)
-    xm = np.zeros((k, wq), np.uint64)
-    zm = np.zeros((k, wq), np.uint64)
-    sg = np.zeros(k, np.uint8)
-    rlo = np.zeros(k, np.int32)
-    rhi = np.zeros(k, np.int32)
-    for i, b in enumerate(rows):
-        wb, bb = b >> 6, np.uint64(b & 63)
-        sg[i] = int((rs[wb] >> bb) & _U1)
-        cmin, cmax = n_out, -1
-        for c in range(int(lo[b]), int(hi[b])):
-            mc = int(colmap[c])
-            if mc < 0:
-                continue
-            xbit = int((xs[c, wb] >> bb) & _U1)
-            zbit = int((zs[c, wb] >> bb) & _U1)
-            if not (xbit or zbit):
-                continue
-            if xbit:
-                xm[i, mc >> 6] |= _U1 << np.uint64(mc & 63)
-            if zbit:
-                zm[i, mc >> 6] |= _U1 << np.uint64(mc & 63)
-            cmin = min(cmin, mc)
-            cmax = max(cmax, mc)
-        if cmax < 0:
-            rlo[i] = rhi[i] = 0
-        else:
-            rlo[i], rhi[i] = cmin, cmax + 1
-    return xm, zm, sg, rlo, rhi
-
-
 def _np_extract_rows_transposed(xs, zs, rs, row_map, colmap, n_out, k):
     """Column-driven extraction: cost scales with total support, not windows.
 
@@ -401,444 +328,12 @@ class _NumpyLane:
     measure_x_random = staticmethod(_np_measure_x_random)
     group_sign = staticmethod(_np_group_sign)
     clean_column = staticmethod(_np_clean_column)
-    extract_rows = staticmethod(_np_extract_rows)
     extract_rows_transposed = staticmethod(_np_extract_rows_transposed)
     rref_x_block = staticmethod(_np_rref_x_block)
 
 
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _popcount64(x):
-        x = x - ((x >> _U1) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True, inline="always")
-    def _ctz64(x):
-        lsb = x & (~x + _U1)
-        return _popcount64(lsb - _U1)
-
-    @njit(cache=True)
-    def _nb_gate_h(xs, zs, rs, q):
-        W = xs.shape[1]
-        for w in range(W):
-            a = xs[q, w]
-            b = zs[q, w]
-            rs[w] ^= a & b
-            xs[q, w] = b
-            zs[q, w] = a
-
-    @njit(cache=True)
-    def _nb_gate_s(xs, zs, rs, q):
-        W = xs.shape[1]
-        for w in range(W):
-            a = xs[q, w]
-            rs[w] ^= a & zs[q, w]
-            zs[q, w] ^= a
-
-    @njit(cache=True)
-    def _nb_gate_sdg(xs, zs, rs, q):
-        W = xs.shape[1]
-        for w in range(W):
-            a = xs[q, w]
-            rs[w] ^= a & ~zs[q, w]
-            zs[q, w] ^= a
-
-    @njit(cache=True)
-    def _nb_gate_x(xs, zs, rs, q):
-        W = xs.shape[1]
-        for w in range(W):
-            rs[w] ^= zs[q, w]
-
-    @njit(cache=True)
-    def _nb_gate_y(xs, zs, rs, q):
-        W = xs.shape[1]
-        for w in range(W):
-            rs[w] ^= xs[q, w] ^ zs[q, w]
-
-    @njit(cache=True)
-    def _nb_gate_z(xs, zs, rs, q):
-        W = xs.shape[1]
-        for w in range(W):
-            rs[w] ^= xs[q, w]
-
-    @njit(cache=True, inline="always")
-    def _nb_extend_ranges(lo, hi, vec, col):
-        W = vec.shape[0]
-        for w in range(W):
-            word = vec[w]
-            while word != _U0:
-                row = (w << 6) + int(_ctz64(word))
-                word &= word - _U1
-                if lo[row] > col:
-                    lo[row] = col
-                if hi[row] < col + 1:
-                    hi[row] = col + 1
-
-    @njit(cache=True)
-    def _nb_gate_cz(xs, zs, rs, lo, hi, a, b):
-        W = xs.shape[1]
-        for w in range(W):
-            xa = xs[a, w]
-            xb = xs[b, w]
-            rs[w] ^= xa & xb & (zs[a, w] ^ zs[b, w])
-            zs[a, w] ^= xb
-            zs[b, w] ^= xa
-        _nb_extend_ranges(lo, hi, xs[a], b)
-        _nb_extend_ranges(lo, hi, xs[b], a)
-
-    @njit(cache=True)
-    def _nb_gate_cnot(xs, zs, rs, lo, hi, a, b):
-        W = xs.shape[1]
-        for w in range(W):
-            xa = xs[a, w]
-            zb = zs[b, w]
-            rs[w] ^= xa & zb & ~(xs[b, w] ^ zs[a, w])
-            xs[b, w] ^= xa
-            zs[a, w] ^= zb
-        _nb_extend_ranges(lo, hi, xs[a], b)
-        _nb_extend_ranges(lo, hi, zs[b], a)
-
-    @njit(cache=True)
-    def _nb_measure_x_random(xs, zs, rs, lo, hi, q, p, coin):
-        W = xs.shape[1]
-        wp = p >> 6
-        bp = np.uint64(p & 63)
-        d = p - 1
-        bd = np.uint64(d & 63)
-        M = np.empty(W, np.uint64)
-        widx = np.empty(W, np.int64)
-        nw = 0
-        for w in range(W):
-            word = zs[q, w]
-            if w == wp:
-                word &= ~(_U1 << bp)
-            M[w] = word
-            if word != _U0:
-                widx[nw] = w
-                nw += 1
-        r_p = (rs[wp] >> bp) & _U1
-        lop = lo[p]
-        hip = hi[p]
-        lod = lo[d]
-        hid = hi[d]
-
-        accl = np.zeros(nw, np.uint64)
-        acch = np.zeros(nw, np.uint64)
-        for c in range(lop, hip):
-            xp = (xs[c, wp] >> bp) & _U1
-            zp = (zs[c, wp] >> bp) & _U1
-            if xp == _U0 and zp == _U0:
-                continue
-            for j in range(nw):
-                w = widx[j]
-                m = M[w]
-                xb = xs[c, w]
-                zb = zs[c, w]
-                if xp != _U0 and zp != _U0:
-                    gl = xb ^ zb
-                    gh = xb & ~zb
-                elif xp != _U0:
-                    gl = zb
-                    gh = zb & ~xb
-                else:
-                    gl = xb
-                    gh = xb & zb
-                gl &= m
-                gh &= m
-                carry = accl[j] & gl
-                accl[j] ^= gl
-                acch[j] ^= gh ^ carry
-                if xp != _U0:
-                    xs[c, w] = xb ^ m
-                if zp != _U0:
-                    zs[c, w] = zb ^ m
-
-        for j in range(nw):
-            w = widx[j]
-            m = M[w]
-            flips = acch[j] & m
-            if r_p != _U0:
-                flips ^= m
-            rs[w] ^= flips
-            word = m
-            while word != _U0:
-                row = (w << 6) + int(_ctz64(word))
-                word &= word - _U1
-                if lo[row] > lop:
-                    lo[row] = lop
-                if hi[row] < hip:
-                    hi[row] = hip
-
-        keep = ~((_U1 << bp) | (_U1 << bd))
-        cl = lop if lop < lod else lod
-        ch = hip if hip > hid else hid
-        for c in range(cl, ch):
-            wx = xs[c, wp]
-            xs[c, wp] = (wx & keep) | (((wx >> bp) & _U1) << bd)
-            wz = zs[c, wp]
-            zs[c, wp] = (wz & keep) | (((wz >> bp) & _U1) << bd)
-        xs[q, wp] |= _U1 << bp
-        rw = rs[wp] & keep
-        rw |= (r_p & _U1) << bd
-        rw |= np.uint64(coin) << bp
-        rs[wp] = rw
-        lo[d] = lop
-        hi[d] = hip
-        lo[p] = q
-        hi[p] = q + 1
-
-    @njit(cache=True)
-    def _nb_group_sign(xs, zs, rs, lo, hi, rows):
-        n = xs.shape[0]
-        wq = (n + 63) >> 6
-        ax = np.zeros(wq, np.uint64)
-        az = np.zeros(wq, np.uint64)
-        exp = 0
-        for idx in range(rows.shape[0]):
-            b = rows[idx]
-            wb = b >> 6
-            bb = np.uint64(b & 63)
-            exp += 2 * int((rs[wb] >> bb) & _U1)
-            for c in range(lo[b], hi[b]):
-                xb = (xs[c, wb] >> bb) & _U1
-                zb = (zs[c, wb] >> bb) & _U1
-                if xb == _U0 and zb == _U0:
-                    continue
-                wc = c >> 6
-                bc = np.uint64(c & 63)
-                xa = (ax[wc] >> bc) & _U1
-                za = (az[wc] >> bc) & _U1
-                exp += int(_G4[int(xa) * 8 + int(za) * 4 + int(xb) * 2 + int(zb)])
-                ax[wc] ^= xb << bc
-                az[wc] ^= zb << bc
-        return exp & 3, ax, az
-
-    @njit(cache=True)
-    def _nb_clean_column(xs, zs, rs, q, p):
-        W = xs.shape[1]
-        wp = p >> 6
-        bp = np.uint64(p & 63)
-        xp = (xs[q, wp] >> bp) & _U1
-        zp = (zs[q, wp] >> bp) & _U1
-        rp = (rs[wp] >> bp) & _U1
-        for w in range(W):
-            m = (xs[q, w] | zs[q, w]) & ODD_MASK
-            if w == wp:
-                m &= ~(_U1 << bp)
-            if xp != _U0:
-                xs[q, w] ^= m
-            if zp != _U0:
-                zs[q, w] ^= m
-            if rp != _U0:
-                rs[w] ^= m
-
-    @njit(cache=True)
-    def _nb_extract_rows(xs, zs, rs, lo, hi, rows, colmap, n_out):
-        wq = max(1, (n_out + 63) >> 6)
-        k = rows.shape[0]
-        xm = np.zeros((k, wq), np.uint64)
-        zm = np.zeros((k, wq), np.uint64)
-        sg = np.zeros(k, np.uint8)
-        rlo = np.zeros(k, np.int32)
-        rhi = np.zeros(k, np.int32)
-        for i in range(k):
-            b = rows[i]
-            wb = b >> 6
-            bb = np.uint64(b & 63)
-            sg[i] = np.uint8((rs[wb] >> bb) & _U1)
-            cmin = n_out
-            cmax = -1
-            for c in range(lo[b], hi[b]):
-                mc = colmap[c]
-                if mc < 0:
-                    continue
-                xbit = (xs[c, wb] >> bb) & _U1
-                zbit = (zs[c, wb] >> bb) & _U1
-                if xbit == _U0 and zbit == _U0:
-                    continue
-                bc = np.uint64(mc & 63)
-                xm[i, mc >> 6] |= xbit << bc
-                zm[i, mc >> 6] |= zbit << bc
-                if mc < cmin:
-                    cmin = mc
-                if mc > cmax:
-                    cmax = mc
-            if cmax < 0:
-                rlo[i] = 0
-                rhi[i] = 0
-            else:
-                rlo[i] = cmin
-                rhi[i] = cmax + 1
-        return xm, zm, sg, rlo, rhi
-
-    @njit(cache=True)
-    def _nb_extract_rows_transposed(xs, zs, rs, row_map, colmap, n_out, k):
-        n, W = xs.shape
-        wq = max(1, (n_out + 63) >> 6)
-        xm = np.zeros((k, wq), np.uint64)
-        zm = np.zeros((k, wq), np.uint64)
-        sg = np.zeros(k, np.uint8)
-        rlo = np.full(k, n_out, np.int32)
-        rhi = np.zeros(k, np.int32)
-        for w in range(W):
-            word = rs[w]
-            while word != _U0:
-                b = (w << 6) + int(_ctz64(word))
-                word &= word - _U1
-                orow = row_map[b]
-                if orow >= 0:
-                    sg[orow] = 1
-        for c in range(n):
-            mc = colmap[c]
-            if mc < 0:
-                continue
-            wc = mc >> 6
-            bc = np.uint64(mc & 63)
-            for w in range(W):
-                word = xs[c, w] | zs[c, w]
-                while word != _U0:
-                    t = int(_ctz64(word))
-                    word &= word - _U1
-                    b = (w << 6) + t
-                    orow = row_map[b]
-                    if orow < 0:
-                        continue
-                    bb = np.uint64(t)
-                    if (xs[c, w] >> bb) & _U1:
-                        xm[orow, wc] |= _U1 << bc
-                    if (zs[c, w] >> bb) & _U1:
-                        zm[orow, wc] |= _U1 << bc
-                    if rlo[orow] > mc:
-                        rlo[orow] = mc
-                    if rhi[orow] < mc + 1:
-                        rhi[orow] = mc + 1
-        for i in range(k):
-            if rhi[i] == 0:
-                rlo[i] = 0
-        return xm, zm, sg, rlo, rhi
-
-    @njit(cache=True, inline="always")
-    def _nb_row_mult(xm, zm, sg, rlo, rhi, dst, src):
-        l = rlo[dst] if rlo[dst] < rlo[src] else rlo[src]
-        h = rhi[dst] if rhi[dst] > rhi[src] else rhi[src]
-        wl = l >> 6
-        wh = (h + 63) >> 6
-        acc = 0
-        for w in range(wl, wh):
-            xa = xm[src, w]
-            za = zm[src, w]
-            xb = xm[dst, w]
-            zb = zm[dst, w]
-            gl = (xa & zb) ^ (za & xb)
-            gh = (xa & ~za & ~xb & zb) | (~xa & za & xb & zb) | (xa & za & xb & ~zb)
-            acc += int(_popcount64(gl)) + 2 * int(_popcount64(gh))
-            xm[dst, w] = xb ^ xa
-            zm[dst, w] = zb ^ za
-        sg[dst] ^= sg[src] ^ np.uint8((acc >> 1) & 1)
-        rlo[dst] = l
-        rhi[dst] = h
-
-    @njit(cache=True)
-    def _nb_rref_x_block(xm, zm, sg, rlo, rhi):
-        k = xm.shape[0]
-        used = np.zeros(k, np.uint8)
-        pivrow = np.full(k, -1, np.int32)
-        free_cols = np.empty(k, np.int32)
-        nfree = 0
-        order = np.argsort(rlo.astype(np.int64), kind="mergesort")
-        active = np.empty(k, np.int64)
-        nact = 0
-        ptr = 0
-        for col in range(k):
-            while ptr < k and rlo[order[ptr]] <= col:
-                active[nact] = order[ptr]
-                nact += 1
-                ptr += 1
-            w = col >> 6
-            bit = _U1 << np.uint64(col & 63)
-            piv = -1
-            keep = 0
-            for idx in range(nact):
-                r = active[idx]
-                if rhi[r] <= col:
-                    continue
-                active[keep] = r
-                keep += 1
-                if piv < 0 and used[r] == 0 and rlo[r] <= col and (xm[r, w] & bit) != _U0:
-                    piv = r
-            nact = keep
-            if piv < 0:
-                free_cols[nfree] = col
-                nfree += 1
-                continue
-            used[piv] = 1
-            pivrow[col] = piv
-            for idx in range(nact):
-                r = active[idx]
-                if r != piv and rlo[r] <= col and (xm[r, w] & bit) != _U0:
-                    _nb_row_mult(xm, zm, sg, rlo, rhi, r, piv)
-        return pivrow, free_cols[:nfree].copy()
-
-    class _NumbaLane:
-        name = "numba"
-        gate_h = staticmethod(_nb_gate_h)
-        gate_s = staticmethod(_nb_gate_s)
-        gate_sdg = staticmethod(_nb_gate_sdg)
-        gate_x = staticmethod(_nb_gate_x)
-        gate_y = staticmethod(_nb_gate_y)
-        gate_z = staticmethod(_nb_gate_z)
-        gate_cz = staticmethod(_nb_gate_cz)
-        gate_cnot = staticmethod(_nb_gate_cnot)
-        measure_x_random = staticmethod(_nb_measure_x_random)
-        group_sign = staticmethod(_nb_group_sign)
-        clean_column = staticmethod(_nb_clean_column)
-        extract_rows = staticmethod(_nb_extract_rows)
-        extract_rows_transposed = staticmethod(_nb_extract_rows_transposed)
-        rref_x_block = staticmethod(_nb_rref_x_block)
-
-    NUMBA_LANE = _NumbaLane()
-else:  # pragma: no cover
-    NUMBA_LANE = None
-
-NUMPY_LANE = _NumpyLane()
-
-_LANES = {"numpy": NUMPY_LANE}
-if NUMBA_LANE is not None:
-    _LANES["numba"] = NUMBA_LANE
-
-
-def _default_lane():
-    choice = os.environ.get("SICLUSTER_KERNELS", "").strip().lower()
-    if choice:
-        if choice not in _LANES:
-            raise RuntimeError(
-                f"SICLUSTER_KERNELS={choice!r} not available; choices: {sorted(_LANES)}"
-            )
-        return _LANES[choice]
-    return _LANES.get("numba", NUMPY_LANE)
-
-
-_ACTIVE = _default_lane()
+_ACTIVE = _NumpyLane()
 
 
 def active_lane():
     return _ACTIVE
-
-
-def use(name: str) -> None:
-    """Switch the active kernel lane ("numba" or "numpy") at runtime."""
-    global _ACTIVE
-    if name not in _LANES:
-        raise ValueError(f"unknown kernel lane {name!r}; choices: {sorted(_LANES)}")
-    _ACTIVE = _LANES[name]
-
-
-def available_lanes() -> list[str]:
-    return sorted(_LANES)

@@ -222,7 +222,6 @@ class RunResult:
     frame: PauliFrame
     backend: str
     n_sites: int = 0
-    reprep_mode: str = "pulse"
 
 
 # -- simulation backends ------------------------------------------------------
@@ -340,7 +339,7 @@ def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
 
 
 def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
-                 rng=None, reprep_mode: str = "pulse", noise=None) -> RunResult:
+                 rng=None, noise=None) -> RunResult:
     """Execute a protocol script and return the nuclear cluster state.
 
     Returns a RunResult whose graph is indexed by site id, whose outcome
@@ -356,8 +355,6 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if reprep_mode not in ("pulse", "reload"):
-        raise ProtocolError(f"unknown reprep mode {reprep_mode!r}")
     steps = list(steps)
     if not steps or not isinstance(steps[0], PrepareAllPlus):
         raise ProtocolError("protocol must start with PrepareAllPlus")
@@ -450,7 +447,7 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
 
     graph, frame = be.extract_nuclear_graph()
     return RunResult(graph=graph, outcomes=outcomes, frame=frame,
-                     backend=be.name, n_sites=lattice.n_sites, reprep_mode=reprep_mode)
+                     backend=be.name, n_sites=lattice.n_sites)
 
 
 # -- predicted topology --------------------------------------------------------

@@ -147,10 +147,6 @@ class StabilizerTableau:
 
     # -- construction -------------------------------------------------------
 
-    @classmethod
-    def _empty(cls, n: int) -> "StabilizerTableau":
-        return cls(n)
-
     def _init_plus(self) -> None:
         i = np.arange(self.n)
         sb, db = 2 * i + 1, 2 * i
@@ -465,7 +461,9 @@ def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int],
     * one supporting row: exclude it, nothing else references the column;
     * several rows sharing one Pauli letter: multiply all but one by the
       virtual generator sigma*P_q (sign from the pristine group), which is a
-      single-column rewrite, then exclude the pivot;
+      single-column rewrite, then exclude the pivot.  The pivot is a row of
+      the product that forms sigma*P_q, so the rewritten rows stay
+      independent;
     * mixed letters (a dropped factor entangled within itself): exclude
       every supporting row outright.
 
@@ -491,10 +489,12 @@ def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int],
         if q in keep_set:
             raise ValueError(f"qubit {q} is both kept and marked as measured")
 
-    # Virtual generator signs must come from the intact tableau: the cleanup
-    # below rewrites stabilizer rows without fixing destabilizers, which
+    # Virtual generator signs, and the supporting rows whose product forms
+    # the generator, must come from the intact tableau: the cleanup below
+    # rewrites stabilizer rows without fixing destabilizers, which
     # expectation() relies on.
     virtual_sign: dict[int, int] = {}
+    factors: dict[int, np.ndarray] = {}
     for q in dropped:
         support = (t.xs[q] | t.zs[q]) & kern.ODD_MASK
         bits = kern.bits_of(support)
@@ -505,6 +505,9 @@ def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int],
             px, pz = first
             basis = Basis.Y if (px and pz) else (Basis.X if px else Basis.Z)
             virtual_sign[q] = t.expectation(PauliString.single(t.n, q, basis))
+            # Stabilizer i is a factor iff destabilizer i anticommutes with P_q.
+            parity = (t.zs[q] if px else 0) ^ (t.xs[q] if pz else 0)
+            factors[q] = kern.bits_of(((parity & kern.EVEN_MASK) << one) & support)
 
     for q, p in gen_rows.items():
         t._clean_stab_column(q, p)
@@ -522,14 +525,13 @@ def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int],
             for b in bits:
                 exclude(int(b))
             continue
-        # Prefer a pivot that IS the bare generator (support exactly {q}):
-        # cleaning such a row against the virtual generator would annihilate
-        # it and lose a dimension.  Tight windows identify those rows.
-        h0 = int(bits[0])
-        for b in bits:
-            if t.lo[int(b)] == q and t.hi[int(b)] == q + 1:
-                h0 = int(b)
-                break
+        # The pivot must be a factor of the virtual generator (one of the
+        # rows whose product is sigma*P_q).  Cleaning a factor against the
+        # generator leaves the product of the other factors, so the rows
+        # would lose a dimension; a bare generator (support exactly {q}) is
+        # annihilated outright.  Windows cannot pick such rows out: they only
+        # bound the support, and a later C-phase widens a bare row's window.
+        h0 = next((int(b) for b in bits if b in factors.get(q, ())), int(bits[0]))
         if bits.size > 1:
             px, pz = letter_at(q, h0)
             mask = support.copy()

@@ -1,7 +1,6 @@
 """Shared helpers: random Clifford circuits, random graphs, dense oracles."""
 
 import numpy as np
-import pytest
 
 from sicluster import cliffords
 from sicluster.graphstate import GraphState
@@ -87,13 +86,3 @@ def dense_measure_graph(g, v, basis_name, outcome):
         return None
     rest = [i for i in ids if i != v]
     return rest, StateVector(sv.n - 1, (new / norm).reshape(-1))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_numba():
-    """Compile the hot kernels once so timed tests measure the algorithm."""
-    from sicluster.lattice import DonorLattice, run_protocol, standard_protocol
-
-    run_protocol(DonorLattice(2, 2), standard_protocol(),
-                 rng=np.random.default_rng(0))
-    yield

@@ -1,83 +1,8 @@
-"""Numba and numpy kernel lanes must produce identical tableaux."""
+"""Helpers of the bit-packed tableau kernels."""
 
 import numpy as np
-import pytest
 
 import sicluster._kernels as kern
-from conftest import random_clifford_ops
-from sicluster.tableau import Basis, new_plus_state
-
-pytestmark = pytest.mark.skipif(not kern.HAVE_NUMBA,
-                                reason="numba lane not available")
-
-
-@pytest.fixture(autouse=True)
-def _restore_lane():
-    before = kern.active_lane().name
-    yield
-    kern.use(before)
-
-
-def _transcript(lane, seed):
-    kern.use(lane)
-    rng = np.random.default_rng(seed)
-    coin = np.random.default_rng(seed + 1)
-    n = int(rng.integers(2, 9))
-    t = new_plus_state(n)
-    log = []
-    for _ in range(40):
-        ops = random_clifford_ops(n, 3, rng)
-        for op in ops:
-            t.apply_gate(op[0], *op[1:])
-        q = int(rng.integers(n))
-        basis = [Basis.X, Basis.Y, Basis.Z][int(rng.integers(3))]
-        out, det = t.measure(q, basis, coin)
-        log.append((q, basis.value, out, det))
-    t.validate()
-    return log, t.dump()
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_lanes_agree_on_transcripts(seed):
-    log_np, dump_np = _transcript("numpy", seed)
-    log_nb, dump_nb = _transcript("numba", seed)
-    assert log_np == log_nb
-    assert dump_np == dump_nb
-
-
-def test_lane_env_selection_and_use():
-    names = kern.available_lanes()
-    assert "numpy" in names and "numba" in names
-    kern.use("numpy")
-    assert kern.active_lane().name == "numpy"
-    kern.use("numba")
-    assert kern.active_lane().name == "numba"
-    with pytest.raises(ValueError):
-        kern.use("fortran")
-
-
-def test_lanes_agree_on_protocol_runs():
-    import warnings
-
-    from sicluster.lattice import (
-        DonorLattice,
-        run_protocol,
-        square_lattice_protocol,
-        standard_protocol,
-    )
-
-    for steps in (standard_protocol(), square_lattice_protocol()):
-        results = {}
-        for lane in ("numpy", "numba"):
-            kern.use(lane)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                results[lane] = run_protocol(DonorLattice(3, 3), steps,
-                                             rng=np.random.default_rng(17))
-        a, b = results["numpy"], results["numba"]
-        assert list(a.outcomes) == list(b.outcomes)
-        assert a.graph == b.graph
-        assert a.frame == b.frame
 
 
 def test_bits_of_roundtrip():

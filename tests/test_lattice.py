@@ -154,14 +154,6 @@ class TestRunProtocol:
         with pytest.warns(UserWarning):
             run_protocol(DonorLattice(2, 2), steps, rng=np.random.default_rng(0))
 
-    def test_reload_mode_matches_pulse_topology(self):
-        lat = DonorLattice(3, 3)
-        a = run_protocol(lat, square_lattice_protocol(), rng=np.random.default_rng(3),
-                         reprep_mode="pulse")
-        b = run_protocol(lat, square_lattice_protocol(), rng=np.random.default_rng(3),
-                         reprep_mode="reload")
-        assert a.graph == b.graph
-
 
 class TestPredictor:
     def test_1x1_no_edges(self):
@@ -242,34 +234,62 @@ class TestRandomProtocols:
                 steps.append(cls._random_step(rng))
         return steps
 
-    @pytest.mark.parametrize("trial", range(30))
-    def test_backend_agreement_on_random_scripts(self, trial):
+    @staticmethod
+    def _run_both(lat, steps, seed):
         import warnings
 
-        rng = np.random.default_rng(5000 + trial)
-        lx, ly = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        dead = set()
-        if rng.random() < 0.4 and lx * ly > 1:
-            dead.add((int(rng.integers(lx)), int(rng.integers(ly))))
-        lat = DonorLattice(lx, ly, dead=dead)
-        steps = self._random_steps(rng)
         results = {}
         for backend in ("stabilizer", "statevector"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
                     results[backend] = run_protocol(
-                        lat, steps, backend=backend, rng=np.random.default_rng(trial))
+                        lat, steps, backend=backend, rng=np.random.default_rng(seed))
                 except ProtocolError as exc:
                     results[backend] = ("error", str(exc))
-        a, b = results["stabilizer"], results["statevector"]
-        if isinstance(a, tuple) or isinstance(b, tuple):
-            assert isinstance(a, tuple) and isinstance(b, tuple), (a, b)
-            return
+        return results["stabilizer"], results["statevector"]
+
+    @staticmethod
+    def _assert_agree(a, b):
         assert list(a.outcomes) == list(b.outcomes)
         assert a.graph == b.graph
         assert a.frame == b.frame
         assert dense_state_of(a).fidelity(dense_state_of(b)) > 1 - 1e-9
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_backend_agreement_on_random_scripts(self, trial):
+        rng = np.random.default_rng(5000 + trial)
+        lx, ly = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        dead = set()
+        if rng.random() < 0.4 and lx * ly > 1:
+            dead.add((int(rng.integers(lx)), int(rng.integers(ly))))
+        lat = DonorLattice(lx, ly, dead=dead)
+        a, b = self._run_both(lat, self._random_steps(rng), trial)
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            assert isinstance(a, tuple) and isinstance(b, tuple), (a, b)
+            return
+        self._assert_agree(a, b)
+
+    # Electrons read in X, re-prepared and read again.  The stabilizer
+    # restriction used to reject these states (a bare generator whose window
+    # a later C-phase had widened, or a pivot outside the generator's
+    # product), so both backends must succeed here.
+    _C, _R = GlobalCPhase(), ReprepareElectronsPlus()
+    _X, _Z = MeasureElectrons(Basis.X), MeasureElectrons(Basis.Z)
+    X_REREAD_SCRIPTS = {
+        "2x1": (2, 1, [], [_C, _X, _R, _C, _X]),
+        "2x3-dead": (2, 3, [(1, 1)], [_C, _C, _C, _X, Shuttle("-x"), _R, _C, _X]),
+        "3x2-z-first": (3, 2, [(2, 1)], [_C, _Z, _R, _C, _C, _X, _C, _X]),
+        "3x2-idle-cphase": (3, 2, [(0, 1)], [_C, _X, _C, _R, _R, _C, Shuttle("-y"), _C, _X]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(X_REREAD_SCRIPTS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backend_agreement_on_x_reread_scripts(self, name, seed):
+        lx, ly, dead, script = self.X_REREAD_SCRIPTS[name]
+        a, b = self._run_both(DonorLattice(lx, ly, dead=dead), [PrepareAllPlus(), *script], seed)
+        assert not isinstance(a, tuple) and not isinstance(b, tuple), (a, b)
+        self._assert_agree(a, b)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_random_scripts_match_predictor_when_supported(self, trial):
