@@ -1,10 +1,11 @@
 """Simulator for a silicon-donor cluster-state quantum computing architecture.
 
-The package covers the full pipeline: a bit-packed stabilizer tableau backend
-that scales to ~10^5 qubits, graph-state algebra with local-complementation
-measurement rules, the donor-lattice global-operation protocol, a dense
-two-spin pulse-level validation of the entangling gate, measurement-based
-computation on the resulting cluster, and defect/timing resource models.
+The package covers the full pipeline: an in-place graph-state stabilizer
+engine for lattice-scale protocols, a bit-packed stabilizer tableau oracle,
+graph-state algebra with local-complementation measurement rules, the
+donor-lattice global-operation protocol, a dense two-spin pulse-level
+validation of the entangling gate, measurement-based computation on the
+resulting cluster, and defect/timing resource models.
 """
 
 from sicluster.tableau import Basis, PauliString, StabilizerTableau, new_plus_state

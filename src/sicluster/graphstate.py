@@ -3,10 +3,12 @@
 A ``GraphState`` is an adjacency structure over stable integer vertex ids
 plus a per-vertex local Clifford ("vertex operator"); with all vertex
 operators equal to the identity the represented state is
-``prod_{(u,v) in E} CZ_uv |+>^n``.  All public operations are functional
-(they return a new instance) and purely combinatorial; measurement outcomes
-are inputs, drawn by the caller from a tableau backend or a fair coin, which
-keeps this module deterministic.
+``prod_{(u,v) in E} CZ_uv |+>^n``.  The public operations are functional
+(they return a new instance) and purely combinatorial; each rewrite is a
+copy followed by its ``*_inplace`` form, which the graph-state engine in
+``sicluster.graphsim`` calls directly.  Measurement outcomes are inputs,
+drawn by the caller from a backend or a fair coin, which keeps this module
+deterministic.
 
 Adjacency is stored as sorted sets per vertex rather than a literal bit
 matrix so that vertex deletion stays cheap at 10^4-vertex protocol scale;
@@ -23,6 +25,11 @@ from sicluster import cliffords
 from sicluster.cliffords import Clifford1
 
 _AXIS_OF = {"X": 0, "Y": 1, "Z": 2}
+
+# What a local complementation at v composes onto v's own vertex operator,
+# and onto the operator of each neighbor of v.
+_LC_SELF = cliffords.SQRT_MINUS_IX.inverse()
+_LC_NEIGHBOR = cliffords.SQRT_PLUS_IZ.inverse()
 
 
 def _basis_name(basis) -> str:
@@ -198,15 +205,19 @@ class GraphState:
         The adjacency change is compensated by sqrt(-iX)^dag at v and
         sqrt(iZ)^dag on each neighbor, folded into the vertex operators.
         """
+        g = self.copy()
+        g.local_complement_inplace(v)
+        return g
+
+    def local_complement_inplace(self, v: int) -> None:
+        """In-place form of :meth:`local_complement`."""
         if v not in self._adj:
             raise KeyError(f"unknown vertex {v}")
-        g = self.copy()
-        nbrs = sorted(g._adj[v])
-        _complement_adj(g._adj, v)
-        g._compose_op(v, cliffords.SQRT_MINUS_IX.inverse())
+        nbrs = list(self._adj[v])
+        _complement_adj(self._adj, v)
+        self._compose_op(v, _LC_SELF)
         for u in nbrs:
-            g._compose_op(u, cliffords.SQRT_PLUS_IZ.inverse())
-        return g
+            self._compose_op(u, _LC_NEIGHBOR)
 
     def _compose_op(self, v: int, correction: Clifford1) -> None:
         new = self.op(v).compose(correction)
@@ -223,50 +234,53 @@ class GraphState:
         remaining vertex operators.  The returned graph represents the exact
         post-measurement state of the represented state.
         """
+        g = self.copy()
+        corrections = g.measure_pauli_inplace(v, basis, outcome)
+        return g, corrections
+
+    def measure_pauli_inplace(self, v: int, basis, outcome: int) -> list[tuple[int, Clifford1]]:
+        """In-place form of :meth:`measure_pauli`: deletes v, returns the corrections."""
         if v not in self._adj:
             raise KeyError(f"unknown vertex {v}")
         if outcome not in (1, -1):
             raise ValueError("outcome must be +1 or -1")
         name = _basis_name(basis)
-        g = self.copy()
-        u_v = g.vertex_ops.pop(v, cliffords.IDENTITY)
+        adj = self._adj
+        u_v = self.vertex_ops.get(v, cliffords.IDENTITY)
         eff_axis, eff_sign = u_v.inverse().conj_pauli(_AXIS_OF[name], 0)
         m_eff = outcome if eff_sign == 0 else -outcome
-        nbrs = sorted(g._adj[v])
+        nbrs = sorted(adj[v])
 
         corrections: list[tuple[int, Clifford1]] = []
         if eff_axis == 2:  # Z
-            del_vertex(g._adj, v)
             if m_eff == -1:
                 corrections = [(u, cliffords.Z) for u in nbrs]
         elif eff_axis == 1:  # Y
-            _complement_adj(g._adj, v)
-            del_vertex(g._adj, v)
+            _complement_adj(adj, v)
             fix = cliffords.SQRT_MINUS_IZ if m_eff == 1 else cliffords.SQRT_PLUS_IZ
             corrections = [(u, fix) for u in nbrs]
+        elif not nbrs:  # X on an isolated vertex
+            if m_eff != 1:
+                raise ValueError(
+                    "X measurement of an isolated vertex is deterministically +1")
         else:  # X
-            if not nbrs:
-                if m_eff != 1:
-                    raise ValueError(
-                        "X measurement of an isolated vertex is deterministically +1")
-                del_vertex(g._adj, v)
+            b0 = nbrs[0]
+            nb0 = set(adj[b0])
+            nv = set(nbrs)
+            _complement_adj(adj, b0)
+            _complement_adj(adj, v)
+            _complement_adj(adj, b0)
+            if m_eff == 1:
+                corrections = [(b0, cliffords.SQRT_PLUS_IY)]
+                corrections += [(u, cliffords.Z) for u in sorted(nv - nb0 - {b0})]
             else:
-                b0 = nbrs[0]
-                nb0 = set(g._adj[b0])
-                nv = set(nbrs)
-                _complement_adj(g._adj, b0)
-                _complement_adj(g._adj, v)
-                _complement_adj(g._adj, b0)
-                del_vertex(g._adj, v)
-                if m_eff == 1:
-                    corrections = [(b0, cliffords.SQRT_PLUS_IY)]
-                    corrections += [(u, cliffords.Z) for u in sorted(nv - nb0 - {b0})]
-                else:
-                    corrections = [(b0, cliffords.SQRT_MINUS_IY)]
-                    corrections += [(u, cliffords.Z) for u in sorted(nb0 - nv - {v})]
+                corrections = [(b0, cliffords.SQRT_MINUS_IY)]
+                corrections += [(u, cliffords.Z) for u in sorted(nb0 - nv - {v})]
+        del_vertex(adj, v)
+        self.vertex_ops.pop(v, None)
         for u, c in corrections:
-            g._compose_op(u, c)
-        return g, corrections
+            self._compose_op(u, c)
+        return corrections
 
     def equal_up_to_local_cliffords(self, other: "GraphState", max_orbit: int = 500_000):
         """Decide LC equivalence of the two adjacencies by orbit search.

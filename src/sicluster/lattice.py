@@ -9,9 +9,15 @@ measurement fuses the nuclei the electron touched into a clique, which is
 what turns three C-phase rounds plus two orthogonal shuttles into a
 triangle-union cluster state on the nuclei.
 
-Qubit numbering interleaves species per site (nuclear = 2*site,
-electron = 2*site + 1) so the tableau backend's locality windows stay tight.
-Output graphs are indexed by site id = i * ly + j for site (i, j).
+Qubits are numbered per site (nuclear = 2*site, electron = 2*site + 1);
+interleaving the species keeps the tableau oracle's row windows tight, and
+the graph-state engine is indifferent to numbering.  Output graphs are
+indexed by site id = i * ly + j for site (i, j).
+
+``run_protocol(backend="stabilizer")`` runs the in-place graph-state engine
+(``sicluster.graphsim``); ``backend="tableau"`` runs the same script on the
+bit-packed stabilizer tableau and ``backend="statevector"`` on dense
+amplitudes, the two oracles the engine is checked against.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState, MeasurementOutcomeRecord
 from sicluster.statevec import (
     KET_MINUS,
@@ -234,8 +241,37 @@ _EIGENSTATES = {
 }
 
 
-class _TableauBackend:
+class _GraphBackend:
     name = "stabilizer"
+
+    def __init__(self, lattice: DonorLattice, rng):
+        self.lattice = lattice
+        self.rng = rng
+        self.sim: GraphSimulator | None = None
+
+    def prepare(self) -> None:
+        self.sim = GraphSimulator(2 * self.lattice.n_sites)
+
+    def cz(self, a: int, b: int) -> None:
+        self.sim.cz(a, b)
+
+    def gate(self, name: str, q: int) -> None:
+        self.sim.gate(name, q)
+
+    def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
+        return self.sim.measure(q, basis, self.rng)
+
+    def extract_nuclear_graph(self) -> tuple[GraphState, PauliFrame]:
+        n_sites = self.lattice.n_sites
+        try:
+            adj, ops = self.sim.restricted_graph([2 * s for s in range(n_sites)])
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+        return _assemble_graph(n_sites, adj, ops)
+
+
+class _TableauBackend:
+    name = "tableau"
 
     def __init__(self, lattice: DonorLattice, rng):
         self.lattice = lattice
@@ -361,12 +397,11 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
     if isinstance(steps[0], PrepareAllPlus) and steps[0].species != "both":
         raise ProtocolError("run_protocol prepares both species; see cool_and_prepare")
 
-    if backend == "stabilizer":
-        be = _TableauBackend(lattice, rng)
-    elif backend == "statevector":
-        be = _StatevectorBackend(lattice, rng)
-    else:
+    backends = {"stabilizer": _GraphBackend, "tableau": _TableauBackend,
+                "statevector": _StatevectorBackend}
+    if backend not in backends:
         raise ProtocolError(f"unknown backend {backend!r}")
+    be = backends[backend](lattice, rng)
 
     positions: dict[int, int] = {}  # site id -> electron qubit
     parked: dict[int, int] = {}  # measured, awaiting re-preparation

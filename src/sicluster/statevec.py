@@ -12,7 +12,13 @@ import numpy as np
 from sicluster import cliffords
 from sicluster.graphstate import GraphState
 from sicluster.rng import draw_sign_bit
-from sicluster.tableau import Basis, PauliString, StabilizerTableau, tableau_from_stabilizers
+from sicluster.tableau import (  # noqa: F401  (SizeCapError is re-exported)
+    Basis,
+    PauliString,
+    SizeCapError,
+    StabilizerTableau,
+    tableau_from_stabilizers,
+)
 
 MAX_QUBITS = 22
 ATOL = 1e-9
@@ -34,10 +40,6 @@ KET_MINUS_I = np.array([_SQ2, -1j * _SQ2], dtype=complex)
 
 def mat_rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
-
-
-class SizeCapError(RuntimeError):
-    """Raised when a dense simulation would exceed the qubit cap."""
 
 
 class ZeroProbabilityError(RuntimeError):

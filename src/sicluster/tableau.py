@@ -23,6 +23,20 @@ from sicluster.rng import draw_sign_bit
 # measurement.  Slow; meant for hunting sign bugs.
 AUTO_VALIDATE = os.environ.get("SICLUSTER_VALIDATE", "") not in ("", "0")
 
+# Largest tableau allocation, in bytes (see tableau_bytes).  2 GiB holds a
+# 100x100-site protocol (2 * 10^4 qubits, about 200 MB); a 300x300 lattice
+# would need about 16 GB.
+MAX_TABLEAU_BYTES = 2**31
+
+
+class SizeCapError(RuntimeError):
+    """Raised when a simulation would exceed a size cap."""
+
+
+def tableau_bytes(n: int) -> int:
+    """Bytes of the X and Z bit blocks of an n-qubit tableau."""
+    return 2 * n * ((2 * n + 63) >> 6) * 8
+
 
 class Basis(enum.Enum):
     """Single-qubit Pauli measurement basis."""
@@ -137,6 +151,10 @@ class StabilizerTableau:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("tableau needs at least one qubit")
+        if tableau_bytes(n) > MAX_TABLEAU_BYTES:
+            raise SizeCapError(
+                f"a {n}-qubit tableau needs {tableau_bytes(n) / 2**30:.1f} GiB, "
+                f"cap is {MAX_TABLEAU_BYTES / 2**30:.1f} GiB")
         self.n = n
         nwords = (2 * n + 63) >> 6
         self.xs = np.zeros((n, nwords), np.uint64)
@@ -413,9 +431,10 @@ def graph_from_stab_matrix(xm, zm, sg, rlo, rhi) -> tuple[dict, dict]:
             h_cols.add(col)
         pivrow, free2 = lane.rref_x_block(xm, zm, sg, rlo, rhi)
         if free2.size:
-            raise AssertionError("X block still rank-deficient after Hadamard pass")
+            raise ValueError("X block still rank-deficient after Hadamard pass "
+                             "(stabilizer rows are dependent)")
     if np.any(pivrow < 0):
-        raise AssertionError("stabilizer matrix is rank-deficient")
+        raise ValueError("stabilizer matrix is rank-deficient")
 
     adj: dict[int, set[int]] = {v: set() for v in range(k)}
     s_cols, z_cols = set(), set()
@@ -438,16 +457,28 @@ def graph_from_stab_matrix(xm, zm, sg, rlo, rhi) -> tuple[dict, dict]:
 
     ops: dict[int, cliffords.Clifford1] = {}
     for v in range(k):
-        w_el = cliffords.IDENTITY
-        if v in h_cols:
-            w_el = cliffords.H.compose(w_el)
-        if v in s_cols:
-            w_el = cliffords.S.compose(w_el)
-        if v in z_cols:
-            w_el = cliffords.Z.compose(w_el)
-        if not w_el.is_identity():
-            ops[v] = w_el.inverse()
+        el = REDUCTION_OPS[(v in h_cols, v in s_cols, v in z_cols)]
+        if el is not None:
+            ops[v] = el
     return adj, ops
+
+
+def _reduction_op(h: bool, s: bool, z: bool) -> cliffords.Clifford1 | None:
+    w_el = cliffords.IDENTITY
+    if h:
+        w_el = cliffords.H.compose(w_el)
+    if s:
+        w_el = cliffords.S.compose(w_el)
+    if z:
+        w_el = cliffords.Z.compose(w_el)
+    return None if w_el.is_identity() else w_el.inverse()
+
+
+# Vertex operator of a column that graph_from_stab_matrix reduced by H, then
+# S, then Z corrections, keyed by (h, s, z): the inverse of the corrections,
+# None for the identity.
+REDUCTION_OPS = {(h, s, z): _reduction_op(h, s, z)
+                 for h in (False, True) for s in (False, True) for z in (False, True)}
 
 
 def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int],

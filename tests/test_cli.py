@@ -210,6 +210,13 @@ class TestMbqc:
             assert doc["identity_wire_distance"] < 1e-9
 
 
+    def test_stabilizer_tableau_cap_exit_code(self, tmp_path):
+        # 257 * 256 = 65792 vertices, just above the 2^16-qubit tableau cap.
+        rc = run_cli(["mbqc", "--cluster", "grid:257x256", "--builtin", "wire:3",
+                      "--backend", "stabilizer", "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_RESOURCE
+
+
 class TestTiming:
     def test_table_values(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -1,0 +1,161 @@
+"""In-place graph-state engine against the tableau, gate by gate."""
+
+import numpy as np
+import pytest
+
+from sicluster import cliffords
+from sicluster.graphsim import _ZP_MOVES, GraphSimulator
+from sicluster.tableau import (
+    Basis,
+    from_graph_state,
+    graph_from_stab_matrix,
+    new_plus_state,
+    same_stabilizer_group,
+)
+
+GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
+BASES = [Basis.X, Basis.Y, Basis.Z]
+
+
+def run_pair(ops, n, coin_seed=0):
+    """Drive the engine and a tableau through the same ops; returns both and
+    the two coin generators after the run."""
+    sim, t = GraphSimulator(n), new_plus_state(n)
+    c_sim, c_t = np.random.default_rng(coin_seed), np.random.default_rng(coin_seed)
+    for op in ops:
+        if op[0] == "CZ":
+            sim.cz(op[1], op[2])
+            t.apply_gate("CZ", op[1], op[2])
+        elif op[0] == "M":
+            assert sim.measure(op[1], op[2], c_sim) == t.measure(op[1], op[2], c_t), op
+        else:
+            sim.gate(op[0], op[1])
+            t.apply_gate(op[0], op[1])
+        sim.validate()
+    return sim, t, c_sim, c_t
+
+
+def assert_same_state(sim, t):
+    assert same_stabilizer_group(from_graph_state(sim), t)
+    n = t.n
+    adj, ops = sim.restricted_graph(list(range(n)))
+    g = t.to_graph_state()
+    assert adj == {v: g.neighbors(v) for v in range(n)}
+    assert ops == dict(g.vertex_ops)
+
+
+def random_ops(n, depth, rng):
+    ops = []
+    for _ in range(depth):
+        r = rng.random()
+        if r < 0.4 and n > 1:
+            a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+            ops.append(("CZ", a, b))
+        elif r < 0.8:
+            ops.append((GATES_1Q[int(rng.integers(6))], int(rng.integers(n))))
+        else:
+            ops.append(("M", int(rng.integers(n)), BASES[int(rng.integers(3))]))
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_circuits_match_tableau(seed):
+    rng = np.random.default_rng(900 + seed)
+    n = 1 + seed % 6
+    ops = random_ops(n, 10 + seed, rng)
+    sim, t, c_sim, c_t = run_pair(ops, n, coin_seed=seed)
+    assert c_sim.bit_generator.state == c_t.bit_generator.state
+    assert_same_state(sim, t)
+
+
+def test_zp_move_table():
+    # Every VOP reaches a Z-axis-preserving one; "n" only ever leads.
+    assert len(_ZP_MOVES) == 24
+    lc_self = cliffords.SQRT_MINUS_IX.inverse()
+    lc_nbr = cliffords.SQRT_PLUS_IZ.inverse()
+    for el, word in _ZP_MOVES.items():
+        assert word in ((), ("v",), ("n", "v"))
+        u = el
+        for letter in word:
+            u = u.compose(lc_self if letter == "v" else lc_nbr)
+        assert u.z_axis == 2
+        assert (word == ()) == (el.z_axis == 2)
+
+
+# Each CZ case the endpoint reductions cannot reach by complementation:
+# an endpoint in a Z eigenstate, an endpoint mapping X to Z whose only
+# neighbour is the partner, and two such endpoints tied only to each other.
+CZ_CORNER_CASES = {
+    "zero-state": [("H", 0), ("CZ", 0, 1)],
+    "one-state": [("H", 0), ("X", 0), ("CZ", 0, 1), ("CZ", 1, 2)],
+    "leaf-plus": [("CZ", 0, 1), ("CZ", 1, 2), ("H", 0), ("CZ", 0, 1)],
+    "leaf-minus": [("CZ", 0, 1), ("CZ", 1, 2), ("H", 0), ("X", 0), ("CZ", 0, 1)],
+    "leaf-partner-flips-z": [("CZ", 0, 1), ("CZ", 1, 2), ("H", 0), ("X", 1), ("CZ", 0, 1)],
+    "mutual-leaves": [("CZ", 0, 1), ("H", 0), ("H", 1), ("CZ", 0, 1), ("CZ", 1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CZ_CORNER_CASES))
+def test_cz_corner_cases(name):
+    sim, t, _, _ = run_pair(CZ_CORNER_CASES[name], 3)
+    assert_same_state(sim, t)
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("seed", range(4))
+def test_measured_vertex_stays_isolated_eigenstate(basis, seed):
+    ops = [("CZ", 0, 1), ("CZ", 1, 2), ("S", 1), ("M", 1, basis)]
+    sim, t, _, _ = run_pair(ops, 3, coin_seed=seed)
+    assert sim.degree(1) == 0
+    # Re-measuring is deterministic and repeats the outcome, drawing nothing.
+    coins = np.random.default_rng(99)
+    state = coins.bit_generator.state
+    first = t.copy().measure(1, basis, np.random.default_rng(0))
+    assert sim.measure(1, basis, coins) == (first[0], True)
+    assert coins.bit_generator.state == state
+    assert_same_state(sim, t)
+
+
+def test_read_off_matches_packed_reduction():
+    # With Z-axis-preserving VOPs the per-vertex read-off must equal the
+    # packed reduction it short-cuts.
+    rng = np.random.default_rng(4)
+    diagonal = ["S", "SDG", "Z", "X", "Y"]
+    for _ in range(20):
+        sim = GraphSimulator(6)
+        for _ in range(12):
+            a, b = (int(x) for x in rng.choice(6, 2, replace=False))
+            sim.cz(a, b)
+            sim.gate(diagonal[int(rng.integers(5))], int(rng.integers(6)))
+        keep = list(range(6))
+        assert all(op.z_axis == 2 for op in sim.vertex_ops.values())
+        packed = graph_from_stab_matrix(*sim._pack_generators(
+            keep, {v: v for v in keep}, [sim.op(v) for v in keep]))
+        assert sim.restricted_graph(keep) == packed
+
+
+def test_restriction_rejects_entangled_dropped_qubit():
+    sim = GraphSimulator(3)
+    sim.cz(0, 2)
+    with pytest.raises(ValueError, match="entangled"):
+        sim.restricted_graph([0, 1])
+
+
+def test_restriction_drops_measured_qubits():
+    sim, _, _, _ = run_pair([("CZ", 0, 1), ("CZ", 1, 2), ("M", 1, Basis.Y)], 3)
+    adj, _ = sim.restricted_graph([0, 2])
+    assert adj == {0: {1}, 1: {0}}
+
+
+def test_bad_arguments():
+    sim = GraphSimulator(2)
+    with pytest.raises(ValueError):
+        sim.cz(1, 1)
+    with pytest.raises(IndexError):
+        sim.cz(0, 2)
+    with pytest.raises(IndexError):
+        sim.gate("H", 5)
+    with pytest.raises(KeyError):
+        sim.gate("T", 0)
+    with pytest.raises(ValueError):
+        GraphSimulator(0)

@@ -1,8 +1,13 @@
 """Donor-lattice protocol: scripts, backends, predictor, frames."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sicluster.graphstate import export
 from sicluster.lattice import (
     DonorLattice,
     GlobalCPhase,
@@ -19,8 +24,12 @@ from sicluster.lattice import (
     square_lattice_protocol,
     standard_protocol,
 )
+from sicluster.noise import DefectModel, TimingModel, inject_noise
+from sicluster.rng import substream
 from sicluster.statevec import SizeCapError
 from sicluster.tableau import Basis
+
+BACKENDS = ("stabilizer", "tableau", "statevector")
 
 
 class TestScripts:
@@ -204,8 +213,31 @@ class TestPredictor:
                         assert set(res.graph.edges()) == pred
 
 
+_STEPS = st.sampled_from(
+    [GlobalCPhase(), ReprepareElectronsPlus()]
+    + [Shuttle(d) for d in ("+x", "-x", "+y", "-y")]
+    + [MeasureElectrons(b) for b in Basis])
+_PROBS = st.sampled_from([0.0, 0.1, 0.5])
+
+
+@st.composite
+def noisy_scripts(draw):
+    """A lattice of at most 3x3 with dead sites, a free-form script (any
+    shuttle order, X/Y/Z readout, re-preparation), noise settings and a seed."""
+    lx, ly = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sites = [(i, j) for i in range(lx) for j in range(ly)]
+    dead = sorted(draw(st.sets(st.sampled_from(sites), max_size=len(sites) - 1)))
+    steps = [PrepareAllPlus(), *draw(st.lists(_STEPS, min_size=1, max_size=12))]
+    # A short T2n makes end-of-protocol dephasing likely.
+    dm = DefectModel(eps_meas=draw(_PROBS), p_shuttle=draw(_PROBS), p_init_e=draw(_PROBS),
+                     p_init_n=draw(_PROBS), t2n=draw(st.sampled_from([2.5, 1e-6])))
+    return lx, ly, dead, steps, dm, draw(st.integers(0, 2**16))
+
+
 class TestRandomProtocols:
-    """Fuzz custom scripts: both backends must agree transcript-for-transcript."""
+    """Fuzz custom scripts: the graph-state engine, the tableau and the dense
+    state vector must agree transcript-for-transcript and draw the same
+    coins."""
 
     @staticmethod
     def _random_step(rng):
@@ -235,19 +267,20 @@ class TestRandomProtocols:
         return steps
 
     @staticmethod
-    def _run_both(lat, steps, seed):
-        import warnings
-
+    def _run_all(lat, steps, seed):
+        """Per backend: the result (or ("error", message)) and the coin
+        generator's state after the run."""
         results = {}
-        for backend in ("stabilizer", "statevector"):
+        for backend in BACKENDS:
+            rng = np.random.default_rng(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    results[backend] = run_protocol(
-                        lat, steps, backend=backend, rng=np.random.default_rng(seed))
+                    res = run_protocol(lat, steps, backend=backend, rng=rng)
                 except ProtocolError as exc:
-                    results[backend] = ("error", str(exc))
-        return results["stabilizer"], results["statevector"]
+                    res = ("error", str(exc))
+            results[backend] = (res, rng.bit_generator.state)
+        return results
 
     @staticmethod
     def _assert_agree(a, b):
@@ -255,6 +288,13 @@ class TestRandomProtocols:
         assert a.graph == b.graph
         assert a.frame == b.frame
         assert dense_state_of(a).fidelity(dense_state_of(b)) > 1 - 1e-9
+
+    @classmethod
+    def _assert_all_agree(cls, results):
+        (ref, ref_state), *others = results.values()
+        for res, state in others:
+            assert state == ref_state, "backends drew different numbers of coins"
+            cls._assert_agree(ref, res)
 
     @pytest.mark.parametrize("trial", range(30))
     def test_backend_agreement_on_random_scripts(self, trial):
@@ -264,16 +304,17 @@ class TestRandomProtocols:
         if rng.random() < 0.4 and lx * ly > 1:
             dead.add((int(rng.integers(lx)), int(rng.integers(ly))))
         lat = DonorLattice(lx, ly, dead=dead)
-        a, b = self._run_both(lat, self._random_steps(rng), trial)
-        if isinstance(a, tuple) or isinstance(b, tuple):
-            assert isinstance(a, tuple) and isinstance(b, tuple), (a, b)
+        results = self._run_all(lat, self._random_steps(rng), trial)
+        errors = [isinstance(res, tuple) for res, _ in results.values()]
+        if any(errors):
+            assert all(errors), results
             return
-        self._assert_agree(a, b)
+        self._assert_all_agree(results)
 
-    # Electrons read in X, re-prepared and read again.  The stabilizer
+    # Electrons read in X, re-prepared and read again.  The tableau
     # restriction used to reject these states (a bare generator whose window
     # a later C-phase had widened, or a pivot outside the generator's
-    # product), so both backends must succeed here.
+    # product), so every backend must succeed here.
     _C, _R = GlobalCPhase(), ReprepareElectronsPlus()
     _X, _Z = MeasureElectrons(Basis.X), MeasureElectrons(Basis.Z)
     X_REREAD_SCRIPTS = {
@@ -287,14 +328,40 @@ class TestRandomProtocols:
     @pytest.mark.parametrize("seed", range(3))
     def test_backend_agreement_on_x_reread_scripts(self, name, seed):
         lx, ly, dead, script = self.X_REREAD_SCRIPTS[name]
-        a, b = self._run_both(DonorLattice(lx, ly, dead=dead), [PrepareAllPlus(), *script], seed)
-        assert not isinstance(a, tuple) and not isinstance(b, tuple), (a, b)
-        self._assert_agree(a, b)
+        results = self._run_all(DonorLattice(lx, ly, dead=dead), [PrepareAllPlus(), *script],
+                                seed)
+        assert not any(isinstance(res, tuple) for res, _ in results.values()), results
+        self._assert_all_agree(results)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=noisy_scripts())
+    def test_backend_agreement_on_noisy_scripts(self, case):
+        lx, ly, dead, steps, dm, seed = case
+        lat = DonorLattice(lx, ly, dead=dead)
+        reports = {}
+        for backend in BACKENDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    reports[backend] = inject_noise(lat, steps, dm, TimingModel(), seed,
+                                                    backend=backend)
+                except ProtocolError as exc:
+                    reports[backend] = ("error", str(exc))
+        errors = [isinstance(rep, tuple) for rep in reports.values()]
+        if any(errors):
+            assert all(errors), reports
+            return
+        ref, *others = reports.values()
+        for rep in others:
+            assert rep.error_log == ref.error_log
+            self._assert_agree(ref.result, rep.result)
+        # Pauli noise moves only the frame and the vertex operators.
+        if not any(isinstance(s, MeasureElectrons) and s.basis == Basis.X for s in steps):
+            assert set(ref.result.graph.edges()) == predicted_edge_set(lat, steps)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_random_scripts_match_predictor_when_supported(self, trial):
-        import warnings
-
         rng = np.random.default_rng(7000 + trial)
         lat = DonorLattice(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         steps = self._random_steps(rng)
@@ -305,6 +372,33 @@ class TestRandomProtocols:
             pred = predicted_edge_set(lat, steps)
             res = run_protocol(lat, steps, rng=np.random.default_rng(trial))
         assert set(res.graph.edges()) == pred
+
+
+class TestEngineMatchesTableau:
+    """The graph-state engine writes exactly what the tableau oracle writes."""
+
+    DEAD = [(0, 3), (4, 4), (7, 19), (13, 0), (19, 11)]
+
+    @staticmethod
+    def _outputs(result):
+        return (export(result.graph, "json"), export(result.graph, "dot"),
+                result.outcomes.entries(), result.frame.as_dict())
+
+    def test_20x20_standard_with_dead_sites(self):
+        lat = DonorLattice(20, 20, dead=self.DEAD)
+        runs = [run_protocol(lat, standard_protocol(), backend=backend,
+                             rng=substream(5, "measure"))
+                for backend in ("stabilizer", "tableau")]
+        assert self._outputs(runs[0]) == self._outputs(runs[1])
+
+    def test_20x20_noisy_square_with_dead_sites(self):
+        lat = DonorLattice(20, 20, dead=self.DEAD)
+        dm = DefectModel(eps_meas=0.01, p_shuttle=0.05, p_init_e=0.05, p_init_n=0.05)
+        reps = [inject_noise(lat, square_lattice_protocol(), dm, TimingModel(), seed=8,
+                             backend=backend)
+                for backend in ("stabilizer", "tableau")]
+        assert reps[0].error_log and reps[0].error_log == reps[1].error_log
+        assert self._outputs(reps[0].result) == self._outputs(reps[1].result)
 
 
 class TestCoolAndPrepare:

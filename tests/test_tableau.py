@@ -6,11 +6,16 @@ import pytest
 from conftest import random_state_pair
 from sicluster.statevec import tableau_to_statevector
 from sicluster.tableau import (
+    MAX_TABLEAU_BYTES,
     Basis,
     PauliString,
+    SizeCapError,
+    StabilizerTableau,
     from_graph_state,
+    graph_from_stab_matrix,
     new_plus_state,
     same_stabilizer_group,
+    tableau_bytes,
     tableau_from_stabilizers,
 )
 
@@ -283,3 +288,34 @@ class TestDenseAgreement:
         c.apply_gate("CZ", 0, 1)
         assert t.dump() == "+XII\n+IXI\n+IIX"
         assert c.dump() != t.dump()
+
+
+class TestGraphReduction:
+    def test_dependent_rows_raise_value_error(self):
+        # Rows X_0 Z_1 and X_0 Z_1 again: the set is dependent, so no graph
+        # form exists; the caller must see a ValueError, not an assertion.
+        xm = np.array([[0b01], [0b01]], np.uint64)
+        zm = np.array([[0b10], [0b10]], np.uint64)
+        sg = np.zeros(2, np.uint8)
+        rlo, rhi = np.zeros(2, np.int32), np.full(2, 2, np.int32)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            graph_from_stab_matrix(xm, zm, sg, rlo, rhi)
+
+
+class TestResourceGuard:
+    def test_estimate(self):
+        assert tableau_bytes(1) == 16
+        assert tableau_bytes(32) == 2 * 32 * 1 * 8
+        assert tableau_bytes(33) == 2 * 33 * 2 * 8
+        assert tableau_bytes(20_000) == 2 * 20_000 * 625 * 8
+
+    def test_cap_boundary(self):
+        # 2^16 qubits is exactly the cap; one more qubit is over it.
+        assert tableau_bytes(2**16) == MAX_TABLEAU_BYTES
+        assert tableau_bytes(2**16 + 1) > MAX_TABLEAU_BYTES
+
+    def test_oversized_tableau_refused_before_allocating(self):
+        with pytest.raises(SizeCapError):
+            StabilizerTableau(2**16 + 1)
+        with pytest.raises(SizeCapError):
+            new_plus_state(180_000)  # a 300x300-site protocol, ~16 GB
