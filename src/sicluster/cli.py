@@ -212,9 +212,11 @@ def cmd_build_cluster(args) -> int:
         lattice = DonorLattice(cfg["lx"], cfg["ly"], dead=cfg["dead"])
     except ProtocolError as exc:
         raise ConfigError(str(exc)) from exc
-    tm_cfg = cfg.get("timing", {})
-    tm = TimingModel(**tm_cfg)
-    dm = DefectModel(**cfg.get("defects", {}))
+    try:
+        tm = TimingModel(**cfg.get("timing", {}))
+        dm = DefectModel(**cfg.get("defects", {}))
+    except (TypeError, ValueError) as exc:  # JSON values of any type reach here
+        raise ConfigError(str(exc)) from exc
     if args.with_noise:
         report_noise = inject_noise(lattice, steps, dm, tm, seed=cfg["seed"],
                                     backend=cfg["backend"])
@@ -386,7 +388,10 @@ def _cluster_from_spec(spec: str) -> GraphState:
 def _builtin_pattern(spec: str) -> tuple[MeasurementPattern, np.ndarray | None]:
     kind, _, rest = spec.partition(":")
     if kind == "wire":
-        n = int(rest)
+        try:
+            n = int(rest)
+        except ValueError as exc:
+            raise ConfigError(f"wire:N expected, got {rest!r}") from exc
         return wire_pattern(n), np.eye(2, dtype=complex)
     if kind == "rotation":
         try:
@@ -469,14 +474,19 @@ def cmd_timing(args) -> int:
         raise ConfigError(f"bad --n list {args.n!r}") from exc
     if not ns:
         raise ConfigError("--n list is empty")
-    tm = TimingModel(shuttle_rate=args.shuttle_rate, cphase_total=args.cphase_total,
-                     meas_rate=args.meas_rate)
+    if min(ns) < 1:
+        raise ConfigError("--n counts must be >= 1")
+    try:
+        tm = TimingModel(shuttle_rate=args.shuttle_rate, cphase_total=args.cphase_total,
+                         meas_rate=args.meas_rate)
+        fom = figure_of_merit(args.t2n, args.meas_rate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     modes = ["sequential", "parallel"] if args.mode == "both" else [args.mode]
     lines = ["N,mode,seconds"]
     for n in ns:
         for mode in modes:
             lines.append(f"{n},{mode},{preparation_time(n, tm, mode=mode)!r}")
-    fom = figure_of_merit(args.t2n, args.meas_rate)
     lines.append(f"# figure_of_merit(T2n={args.t2n!r}s, meas_rate={args.meas_rate!r}Hz)"
                  f" = {fom!r}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -488,6 +498,8 @@ def cmd_timing(args) -> int:
 
 def cmd_survey(args) -> int:
     lx, ly = _parse_size(args.size)
+    if args.pairs < 0:
+        raise ConfigError("--pairs must be >= 0")
     seed = args.seed if args.seed is not None else 0
     dead = _parse_dead(args.dead)
     if args.dead_fraction:

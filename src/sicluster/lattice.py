@@ -14,14 +14,22 @@ interleaving the species keeps the tableau oracle's row windows tight, and
 the graph-state engine is indifferent to numbering.  Output graphs are
 indexed by site id = i * ly + j for site (i, j).
 
-``run_protocol(backend="stabilizer")`` runs the in-place graph-state engine
+One walker interprets every script: it validates the steps, shuttles the
+electrons, measures out in Z those that leave the lattice, land on a dead
+site or are still live at the end, parks and re-prepares measured ones,
+and calls the noise hooks.  It drives one of four consumers through
+``prepare``/``cz``/``gate``/``measure``.  ``run_protocol(backend=
+"stabilizer")`` runs the in-place graph-state engine
 (``sicluster.graphsim``); ``backend="tableau"`` runs the same script on the
 bit-packed stabilizer tableau and ``backend="statevector"`` on dense
 amplitudes, the two oracles the engine is checked against.
+``predicted_edge_set`` runs it on a backend that only tracks CZ partner
+sets.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -261,13 +269,8 @@ class _GraphBackend:
     def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
         return self.sim.measure(q, basis, self.rng)
 
-    def extract_nuclear_graph(self) -> tuple[GraphState, PauliFrame]:
-        n_sites = self.lattice.n_sites
-        try:
-            adj, ops = self.sim.restricted_graph([2 * s for s in range(n_sites)])
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        return _assemble_graph(n_sites, adj, ops)
+    def extract_nuclear_graph(self) -> tuple[dict, dict]:
+        return self.sim.restricted_graph([2 * s for s in range(self.lattice.n_sites)])
 
 
 class _TableauBackend:
@@ -296,14 +299,9 @@ class _TableauBackend:
             self.gen_rows.pop(q, None)
         return outcome, det
 
-    def extract_nuclear_graph(self) -> tuple[GraphState, PauliFrame]:
-        n_sites = self.lattice.n_sites
-        try:
-            adj, ops = restricted_stab_graph(
-                self.t, [2 * s for s in range(n_sites)], self.gen_rows)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        return _assemble_graph(n_sites, adj, ops)
+    def extract_nuclear_graph(self) -> tuple[dict, dict]:
+        return restricted_stab_graph(
+            self.t, [2 * s for s in range(self.lattice.n_sites)], self.gen_rows)
 
 
 class _StatevectorBackend:
@@ -337,21 +335,20 @@ class _StatevectorBackend:
         self.final_eigen[q] = (basis, outcome)
         return outcome, det
 
-    def extract_nuclear_graph(self) -> tuple[GraphState, PauliFrame]:
-        n_sites = self.lattice.n_sites
+    def extract_nuclear_graph(self) -> tuple[dict, dict]:
         sv = self.sv
         # Contract measured electrons (descending index keeps indices valid).
         electrons = sorted(self.final_eigen, key=lambda q: self.index[q], reverse=True)
         for q in electrons:
             basis, outcome = self.final_eigen[q]
             sv = sv.contract(self.index[q], _EIGENSTATES[(basis, outcome)])
-        if sv.n != n_sites:
+        if sv.n != self.lattice.n_sites:
             raise ProtocolError("unmeasured electrons remain in the dense state")
         t = tableau_from_statevector(sv.psi)
         g = t.to_graph_state()
         adj = {v: g.neighbors(v) for v in g.vertices()}
         ops = dict(g.vertex_ops)
-        return _assemble_graph(n_sites, adj, ops)
+        return adj, ops
 
 
 def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
@@ -391,17 +388,34 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    steps = list(steps)
-    if not steps or not isinstance(steps[0], PrepareAllPlus):
-        raise ProtocolError("protocol must start with PrepareAllPlus")
-    if isinstance(steps[0], PrepareAllPlus) and steps[0].species != "both":
-        raise ProtocolError("run_protocol prepares both species; see cool_and_prepare")
-
     backends = {"stabilizer": _GraphBackend, "tableau": _TableauBackend,
                 "statevector": _StatevectorBackend}
     if backend not in backends:
         raise ProtocolError(f"unknown backend {backend!r}")
     be = backends[backend](lattice, rng)
+    outcomes = _walk(lattice, steps, be, noise)
+    try:
+        adj, ops = be.extract_nuclear_graph()
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
+    graph, frame = _assemble_graph(lattice.n_sites, adj, ops)
+    return RunResult(graph=graph, outcomes=outcomes, frame=frame,
+                     backend=be.name, n_sites=lattice.n_sites)
+
+
+def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRecord:
+    """Interpret a protocol script as primitive calls on a backend.
+
+    The backend sees only ``prepare()``, ``cz(electron, nucleus)``,
+    ``gate(name, qubit)`` and ``measure(qubit, basis) -> (outcome,
+    deterministic)``.  Electrons shuttled off the lattice or onto a dead
+    site, and electrons still live at the end, are measured out in Z.
+    """
+    steps = list(steps)
+    if not steps or not isinstance(steps[0], PrepareAllPlus):
+        raise ProtocolError("protocol must start with PrepareAllPlus")
+    if isinstance(steps[0], PrepareAllPlus) and steps[0].species != "both":
+        raise ProtocolError("run_protocol prepares both species; see cool_and_prepare")
 
     positions: dict[int, int] = {}  # site id -> electron qubit
     parked: dict[int, int] = {}  # measured, awaiting re-preparation
@@ -431,6 +445,8 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
         elif isinstance(step, Shuttle):
             if noise is not None:
                 noise.before_shuttle(be, [positions[s] for s in sorted(positions)])
+            # Every electron moves by the same offset, so no two land on one
+            # site, and parked electrons exist only while positions is empty.
             di, dj = step.delta
             new_positions: dict[int, int] = {}
             for s in sorted(positions):
@@ -438,20 +454,14 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
                 i, j = lattice.coords(s)
                 ni, nj = i + di, j + dj
                 if lattice.is_live(ni, nj):
-                    target = lattice.site_id(ni, nj)
-                    if target in new_positions:
-                        raise ProtocolError("shuttle collision: two electrons on one site")
-                    new_positions[target] = e
+                    new_positions[lattice.site_id(ni, nj)] = e
                 else:
                     measure_and_record(e, Basis.Z)
-            collisions = set(new_positions) & set(parked)
-            if collisions:
-                raise ProtocolError("shuttle collision with a parked electron")
             positions = new_positions
         elif isinstance(step, MeasureElectrons):
             if cphase_count == 0:
                 warnings.warn("measurement before any entangling gate is a no-op",
-                              stacklevel=2)
+                              stacklevel=3)
             for s in sorted(positions):
                 e = positions[s]
                 measure_and_record(e, step.basis)
@@ -474,80 +484,58 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
     for s in sorted(positions):
         e = positions[s]
         warnings.warn("protocol ended with live electrons; measuring them out in Z",
-                      stacklevel=2)
+                      stacklevel=3)
         measure_and_record(e, Basis.Z)
 
     if noise is not None:
         noise.before_extract(be, lattice)
-
-    graph, frame = be.extract_nuclear_graph()
-    return RunResult(graph=graph, outcomes=outcomes, frame=frame,
-                     backend=be.name, n_sites=lattice.n_sites)
+    return outcomes
 
 
 # -- predicted topology --------------------------------------------------------
 
 
+class _PredictorBackend:
+    """Edge bookkeeping for ``predicted_edge_set``.
+
+    Tracks each electron's CZ partner parity set: a sigma_y readout toggles
+    the clique on the partners, a Z readout contributes nothing, and either
+    leaves the electron with no partners.  Gates never change the topology.
+    """
+
+    def __init__(self):
+        self.partners: dict[int, set[int]] = {}
+        self.edges: set[tuple[int, int]] = set()
+
+    def prepare(self) -> None:
+        pass
+
+    def cz(self, e: int, n: int) -> None:
+        self.partners.setdefault(e, set()).symmetric_difference_update({n // 2})
+
+    def gate(self, name: str, q: int) -> None:
+        pass
+
+    def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
+        if basis == Basis.Y:
+            self.edges.symmetric_difference_update(
+                itertools.combinations(sorted(self.partners.get(q, ())), 2))
+        elif basis != Basis.Z:
+            raise ProtocolError(
+                "predicted_edge_set supports Y and Z electron measurements only")
+        self.partners.pop(q, None)
+        return 1, True
+
+
 def predicted_edge_set(lattice: DonorLattice, steps) -> set[tuple[int, int]]:
     """Combinatorial prediction of the output adjacency (site-id pairs).
 
-    Walks the script tracking each electron's CZ partner parity set; a
-    sigma_y electron measurement toggles the clique on its partners, a Z
-    measurement (chosen for electrons shuttled off-lattice or into a dead
-    site) contributes nothing.  Entirely independent of the quantum backends.
+    Walks the script as ``run_protocol`` does, on a backend that tracks only
+    CZ partner sets (Y and Z electron readout; X raises ProtocolError).
     """
-    steps = list(steps)
-    edges: set[tuple[int, int]] = set()
-    positions: dict[int, int] = {}
-    partners: dict[int, set[int]] = {}
-    parked: dict[int, int] = {}
-
-    def toggle(u: int, v: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        edges.symmetric_difference_update({e})
-
-    for step_no, step in enumerate(steps):
-        if isinstance(step, PrepareAllPlus):
-            if step_no != 0:
-                raise ProtocolError("PrepareAllPlus is only supported as the first step")
-            positions = dict(lattice.initial_electrons())
-            partners = {e: set() for e in positions.values()}
-        elif isinstance(step, GlobalCPhase):
-            for s, e in positions.items():
-                partners[e] ^= {s}
-        elif isinstance(step, Shuttle):
-            di, dj = step.delta
-            new_positions = {}
-            for s, e in positions.items():
-                i, j = lattice.coords(s)
-                ni, nj = i + di, j + dj
-                if lattice.is_live(ni, nj):
-                    new_positions[lattice.site_id(ni, nj)] = e
-                else:
-                    partners.pop(e, None)  # Z-measured: no edges
-            positions = new_positions
-        elif isinstance(step, MeasureElectrons):
-            for s in sorted(positions):
-                e = positions[s]
-                if step.basis == Basis.Y:
-                    plist = sorted(partners[e])
-                    for a in range(len(plist)):
-                        for b in range(a + 1, len(plist)):
-                            toggle(plist[a], plist[b])
-                elif step.basis != Basis.Z:
-                    raise ProtocolError(
-                        "predicted_edge_set supports Y and Z electron measurements only")
-                partners[e] = set()
-                parked[s] = e
-            positions = {}
-        elif isinstance(step, ReprepareElectronsPlus):
-            for s, e in parked.items():
-                positions[s] = e
-                partners[e] = set()
-            parked = {}
-        else:
-            raise ProtocolError(f"unknown protocol step {step!r}")
-    return edges
+    be = _PredictorBackend()
+    _walk(lattice, steps, be)
+    return be.edges
 
 
 def predicted_graph(lattice: DonorLattice, steps) -> GraphState:

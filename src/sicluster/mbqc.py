@@ -521,6 +521,9 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     never certify at the 1e-9 level; the fidelity gap is zero iff the
     channels coincide up to global phase, which is the property needed.)
     """
+    seeds = list(seeds)  # iterated once per input state; a generator would not be
+    if not seeds:
+        raise PatternError("logical verification needs at least one seed")
     k = len(pattern.inputs)
     if k > 2:
         raise PatternError("logical verification is limited to 2 logical qubits")
@@ -554,4 +557,4 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
         per_input[name] = dmax
         worst = max(worst, dmax)
     return LogicalChannelReport(distance=worst, per_input=per_input,
-                                n_seeds=len(list(seeds)), target_shape=target.shape)
+                                n_seeds=len(seeds), target_shape=target.shape)

@@ -343,35 +343,33 @@ def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTa
     if 1 << k != d:
         raise ValueError("support size is not a power of two")
 
+    # Greedy basis of the support offsets from t0, smallest first; span[u] is
+    # the XOR of the basis vectors picked out by the bits of u.
     t0 = int(support[0])
-    cosets = set(int(s) ^ t0 for s in support)
+    offsets = np.sort(support ^ t0)
+    in_span = np.zeros(dim, bool)
+    in_span[0] = True
+    span = np.zeros(1, np.int64)
     basis: list[int] = []
-    span = {0}
-    for v in sorted(cosets):
-        if v not in span:
-            basis.append(v)
-            span |= {s ^ v for s in span}
-    if len(basis) != k or span != cosets:
+    while len(basis) <= k:
+        outside = offsets[~in_span[offsets]]
+        if outside.size == 0:
+            break
+        basis.append(int(outside[0]))
+        span = np.concatenate([span, span ^ basis[-1]])
+        in_span[span] = True
+    if len(basis) != k:
         raise ValueError("support is not an affine subspace")
 
-    def coord_index(u: int) -> int:
-        x = t0
-        for j in range(k):
-            if (u >> j) & 1:
-                x ^= basis[j]
-        return x
-
-    base_amp = psi[t0]
-    kappa = np.zeros(1 << k, np.int64)
-    for u in range(1 << k):
-        c = psi[coord_index(u)] / base_amp
-        if abs(abs(c) - 1.0) > 1e-6:
+    c = psi[t0 ^ span] / psi[t0]
+    ang = np.angle(c) / (np.pi / 2)
+    bad_ratio = np.abs(np.abs(c) - 1.0) > 1e-6
+    bad = np.flatnonzero(bad_ratio | (np.abs(ang - np.round(ang)) > 1e-6))
+    if bad.size:
+        if bad_ratio[bad[0]]:
             raise ValueError("non-uniform amplitude ratio")
-        ang = np.angle(c) / (np.pi / 2)
-        kr = int(np.round(ang)) & 3
-        if abs(ang - np.round(ang)) > 1e-6:
-            raise ValueError("amplitude phases are not powers of i")
-        kappa[u] = kr
+        raise ValueError("amplitude phases are not powers of i")
+    kappa = np.round(ang).astype(np.int64) & 3
     cvec = [int(kappa[1 << j]) for j in range(k)]
     bmat = np.zeros((k, k), np.int64)
     for j in range(k):
@@ -380,14 +378,16 @@ def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTa
             if diff & 1:
                 raise ValueError("phase function is not quadratic over GF(2)")
             bmat[j, l] = bmat[l, j] = diff >> 1
-    # Verify the quadratic model on the whole support.
-    for u in range(1 << k):
-        ubits = [(u >> j) & 1 for j in range(k)]
-        pred = sum(cvec[j] * ubits[j] for j in range(k))
-        pred += 2 * sum(bmat[j, l] * ubits[j] * ubits[l]
-                        for j in range(k) for l in range(j + 1, k))
-        if (pred - kappa[u]) % 4:
-            raise ValueError("phases do not fit a quadratic form")
+    # Verify the quadratic model on the whole support: the points with top
+    # bit j add c_j plus 2 * b_jl for every lower bit l they set.
+    pred = np.zeros(1, np.int64)
+    for j in range(k):
+        cross = np.zeros(1, np.int64)
+        for l in range(j):
+            cross = np.concatenate([cross, cross + bmat[j, l]])
+        pred = np.concatenate([pred, pred + cvec[j] + 2 * cross])
+    if np.any((pred - kappa) % 4):
+        raise ValueError("phases do not fit a quadratic form")
 
     def int_bits(value: int) -> np.ndarray:
         return np.array([(value >> (n - 1 - q)) & 1 for q in range(n)], np.uint8)

@@ -59,6 +59,17 @@ class TestBuildCluster:
         cfg.write_text('{"lx": 2, "ly": 2, "qubits": 7}')
         assert run_cli(["build-cluster", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("model", [
+        {"defects": {"eps_meas": 2}},
+        {"defects": {"t2n": "long"}},
+        {"timing": {"mode": "warp"}},
+    ])
+    def test_bad_model_parameters_are_config_errors(self, tmp_path, model):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lx": 2, "ly": 2, **model}))
+        rc = run_cli(["build-cluster", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     def test_statevector_cap_exit_code(self, tmp_path):
         rc = run_cli(["build-cluster", "--size", "4x3", "--backend", "statevector",
                       "--out", str(tmp_path / "o")])
@@ -170,6 +181,14 @@ class TestMbqc:
         assert rc == 0
         assert json.loads(out.read_text())["channel_distance"] < 1e-9
 
+    def test_bad_builtin_wire_length(self):
+        assert run_cli(["mbqc", "--cluster", "line:3", "--builtin", "wire:abc"]) == EXIT_CONFIG
+
+    def test_zero_verify_seeds(self, tmp_path):
+        rc = run_cli(["mbqc", "--cluster", "line:5", "--builtin", "wire:5",
+                      "--verify-seeds", "0", "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+
     def test_missing_pattern_file(self):
         assert run_cli(["mbqc", "--cluster", "line:3",
                         "--pattern", "/nonexistent.json"]) == EXIT_CONFIG
@@ -233,6 +252,11 @@ class TestTiming:
         assert "figure_of_merit" in lines[-1]
         assert "100000.0" in lines[-1]
 
+    @pytest.mark.parametrize("bad", [["--t2n", "0"], ["--shuttle-rate", "0"],
+                                     ["--n", "0"]])
+    def test_bad_model_parameters_are_config_errors(self, tmp_path, bad):
+        assert run_cli(["timing", *bad, "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+
 
 class TestSurvey:
     def test_survey_report(self, tmp_path):
@@ -243,6 +267,11 @@ class TestSurvey:
         doc = json.loads(out.read_text())
         assert doc["dead"] == 5
         assert doc["n_sites"] == 100
+
+    def test_negative_pairs(self, tmp_path):
+        rc = run_cli(["survey", "--size", "4x4", "--pairs", "-3",
+                      "--out", str(tmp_path / "s.json")])
+        assert rc == EXIT_CONFIG
 
     def test_deterministic(self, tmp_path):
         outs = []

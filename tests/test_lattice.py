@@ -1,5 +1,6 @@
 """Donor-lattice protocol: scripts, backends, predictor, frames."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -199,6 +200,12 @@ class TestPredictor:
         with pytest.raises(ProtocolError):
             predicted_edge_set(DonorLattice(2, 2), steps)
 
+    def test_shares_run_protocol_validation_and_warnings(self):
+        with pytest.raises(ProtocolError, match="must start with PrepareAllPlus"):
+            predicted_edge_set(DonorLattice(2, 2), [GlobalCPhase()])
+        with pytest.warns(UserWarning, match="live electrons"):
+            predicted_edge_set(DonorLattice(2, 2), [PrepareAllPlus(), GlobalCPhase()])
+
     def test_predictor_matches_run_over_50_seeds(self):
         # Topology is outcome independent, so the predictor must match the
         # stabilizer run for every seed, not just on average.
@@ -211,6 +218,63 @@ class TestPredictor:
                         res = run_protocol(lat, steps,
                                            rng=np.random.default_rng(seed))
                         assert set(res.graph.edges()) == pred
+
+
+def _closed_form_edges(lx, ly, dead, proto):
+    """The canonical protocols' topology from its closed forms alone.
+
+    Standard: the triangle {s, s+x, s+x+y} for every s whose three sites are
+    live.  Square: edge s-(s+x) when both are live, and edge (s+x)-(s+x+y)
+    when all three are.  Uses no lattice or protocol-walking code.
+    """
+    def live(i, j):
+        return 0 <= i < lx and 0 <= j < ly and (i, j) not in dead
+
+    edges = set()
+    for i in range(lx - 1):
+        for j in range(ly):
+            s, x, xy = i * ly + j, (i + 1) * ly + j, (i + 1) * ly + j + 1
+            pair = live(i, j) and live(i + 1, j)
+            triple = pair and live(i + 1, j + 1)
+            if proto == "standard":
+                if triple:
+                    edges |= {(s, x), (x, xy), (s, xy)}
+            else:
+                if pair:
+                    edges.add((s, x))
+                if triple:
+                    edges.add((x, xy))
+    return edges
+
+
+def _dead_placements(lx, ly, max_dead):
+    sites = [(i, j) for i in range(lx) for j in range(ly)]
+    return [set(c) for k in range(max_dead + 1) for c in itertools.combinations(sites, k)]
+
+
+_PROTOCOLS = {"standard": standard_protocol, "square": square_lattice_protocol}
+_CLOSED_FORM_SIZES = [(3, 3), (4, 4), (2, 5), (5, 2), (4, 3)]
+
+
+class TestClosedFormTopology:
+    """Predictor and engine against the closed forms, independent of the
+    protocol walker they share."""
+
+    @pytest.mark.parametrize("lx,ly", _CLOSED_FORM_SIZES)
+    @pytest.mark.parametrize("proto", sorted(_PROTOCOLS))
+    def test_predictor_up_to_two_dead_sites(self, lx, ly, proto):
+        for dead in _dead_placements(lx, ly, 2):
+            lat = DonorLattice(lx, ly, dead=dead)
+            assert predicted_edge_set(lat, _PROTOCOLS[proto]()) == \
+                _closed_form_edges(lx, ly, dead, proto), dead
+
+    @pytest.mark.parametrize("lx,ly", _CLOSED_FORM_SIZES)
+    @pytest.mark.parametrize("proto", sorted(_PROTOCOLS))
+    def test_engine_up_to_one_dead_site(self, lx, ly, proto):
+        for dead in _dead_placements(lx, ly, 1):
+            res = run_protocol(DonorLattice(lx, ly, dead=dead), _PROTOCOLS[proto](),
+                               rng=np.random.default_rng(lx * ly))
+            assert set(res.graph.edges()) == _closed_form_edges(lx, ly, dead, proto), dead
 
 
 _STEPS = st.sampled_from(
@@ -358,7 +422,10 @@ class TestRandomProtocols:
             self._assert_agree(ref.result, rep.result)
         # Pauli noise moves only the frame and the vertex operators.
         if not any(isinstance(s, MeasureElectrons) and s.basis == Basis.X for s in steps):
-            assert set(ref.result.graph.edges()) == predicted_edge_set(lat, steps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pred = predicted_edge_set(lat, steps)
+            assert set(ref.result.graph.edges()) == pred
 
     @pytest.mark.parametrize("trial", range(10))
     def test_random_scripts_match_predictor_when_supported(self, trial):

@@ -164,6 +164,17 @@ class TestLogicalChannels:
         rep = verify_logical(line_graph(3), pat, np.eye(2), seeds=range(10))
         assert rep.distance > 0.1
 
+    def test_seed_generator_checks_every_input(self):
+        pat = wire_pattern(3)
+        pat.corrections[2] = {"x": frozenset(), "z": frozenset()}
+        rep = verify_logical(line_graph(3), pat, np.eye(2), seeds=(s for s in range(10)))
+        assert rep.n_seeds == 10
+        assert len(rep.per_input) == 4 and min(rep.per_input.values()) > 0.1
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(PatternError):
+            verify_logical(line_graph(3), wire_pattern(3), np.eye(2), seeds=range(0))
+
     def test_three_logical_qubits_rejected(self):
         pat = MeasurementPattern([0, 1, 2], [0, 1, 2], [])
         with pytest.raises(PatternError):

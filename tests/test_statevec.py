@@ -106,6 +106,14 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             tableau_from_statevector(psi)
 
+    def test_rejects_ccz_on_plus_states(self):
+        # Uniform support and +-1 phases, but the cubic phase of CCZ|+++>
+        # passes every pairwise check and fails only on the full support.
+        psi = np.ones(8, complex) / np.sqrt(8)
+        psi[7] *= -1
+        with pytest.raises(ValueError, match="phases do not fit a quadratic form"):
+            tableau_from_statevector(psi)
+
     def test_tableau_to_statevector_roundtrip(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
