@@ -205,8 +205,27 @@ def _write(path: str | None, text: str) -> None:
 # -- build-cluster ----------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_run_config(cfg: dict) -> None:
+    """Type checks for the values a JSON config can set to anything."""
+    for key in ("lx", "ly"):
+        if not _is_int(cfg[key]):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+    dead = cfg["dead"]
+    if not isinstance(dead, (list, tuple)) or not all(
+            isinstance(site, (list, tuple)) and len(site) == 2
+            and all(_is_int(x) for x in site) for site in dead):
+        raise ConfigError(f"dead must be a list of [i, j] integer pairs, got {dead!r}")
+
+
 def cmd_build_cluster(args) -> int:
     cfg = _merged_run_config(args)
+    _check_run_config(cfg)
     try:
         steps = steps_from_config(cfg["protocol"])
         lattice = DonorLattice(cfg["lx"], cfg["ly"], dead=cfg["dead"])

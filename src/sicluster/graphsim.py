@@ -80,6 +80,14 @@ class GraphSimulator(GraphState):
             raise ValueError("qubit count must be >= 1")
         super().__init__(range(n))
 
+    @classmethod
+    def from_graph(cls, graph: GraphState) -> "GraphSimulator":
+        """Engine holding ``graph``'s state, with its vertex ids as qubit labels."""
+        sim = cls.__new__(cls)
+        sim._adj = {v: set(nbrs) for v, nbrs in graph._adj.items()}
+        sim.vertex_ops = dict(graph.vertex_ops)
+        return sim
+
     def _apply(self, q: int, el: Clifford1) -> None:
         new = el.compose(self.op(q))
         if new.is_identity():

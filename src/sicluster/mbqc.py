@@ -1,11 +1,12 @@
 """One-way-model execution: measurement patterns consuming cluster states.
 
 A pattern lists single-qubit measurements (Pauli bases at any scale via the
-tableau backend, arbitrary xy-plane angles at desk scale via the dense
-backend) with outcome-adaptive angle sign flips, plus byproduct correction
-sets that determine the final Pauli frame on the output vertices.  Arbitrary
-angles are realized exactly as a pre-measurement Z rotation followed by a
-sigma_z-frame readout.
+stabilizer backend, which runs the graph-state engine of
+``sicluster.graphsim``; arbitrary xy-plane angles at desk scale via the
+dense backend) with outcome-adaptive angle sign flips, plus byproduct
+correction sets that determine the final Pauli frame on the output vertices.
+Arbitrary angles are realized exactly as a pre-measurement Z rotation
+followed by a sigma_z-frame readout.
 
 Angle convention: measuring vertex v at angle a (basis cos(a) X + sin(a) Y)
 with outcome bit m teleports X^m J(-a) onto the logical qubit, where
@@ -16,16 +17,22 @@ line gives Rx(gamma) Rz(beta) Rx(alpha) up to the tracked byproducts.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.lattice import PauliFrame
 from sicluster.rng import substream
 from sicluster.statevec import MAT_H, StateVector, mat_rz
-from sicluster.tableau import Basis, from_graph_state, restricted_stab_graph
+from sicluster.tableau import (  # noqa: F401  (the benchmark tracer patches the last two here)
+    Basis,
+    from_graph_state,
+    restricted_stab_graph,
+)
 
 _HALF_PI = np.pi / 2
 
@@ -189,8 +196,10 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
 
     The dense backend accepts any angles and an arbitrary ``input_state``
     over ``pattern.inputs`` (cluster qubits not listed as inputs start in
-    |+>).  The stabilizer backend scales but is restricted to Pauli steps
-    and |+> inputs; it returns the output as a graph state.
+    |+>).  The stabilizer backend runs the graph-state engine on a copy of
+    the cluster; it is restricted to Pauli steps and |+> inputs and returns
+    the output as a graph state.  Both backends refuse a pattern that leaves
+    an unmeasured non-output vertex entangled with the outputs.
     """
     pattern.validate(cluster)
     for v in cluster.vertices():
@@ -290,16 +299,13 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
 
 
 def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
-    ids = sorted(cluster.vertices())
-    index = {v: i for i, v in enumerate(ids)}
-    t = from_graph_state(cluster)
+    sim = GraphSimulator.from_graph(cluster)
     outcomes: dict[int, int] = {}
     order: list[int] = []
-    gen_rows: dict[int, int] = {}
     for st in pattern.steps:
-        q = index[st.vertex]
+        q = st.vertex
         if st.basis == "Z":
-            outcome, _, p = t._measure_impl(q, Basis.Z, rng)
+            outcome, _ = sim.measure(q, Basis.Z, rng)
         else:
             a = _effective_angle(st, outcomes) % (2 * np.pi)
             quarter = a / _HALF_PI
@@ -313,35 +319,28 @@ def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
             # Measuring -X (or -Y) is measuring X (Y) conjugated by Z; doing
             # it that way keeps coin draws aligned with the dense backend.
             if negated:
-                t.apply_gate("Z", q)
-            outcome, _, p = t._measure_impl(q, basis, rng)
+                sim.gate("Z", q)
+            outcome, _ = sim.measure(q, basis, rng)
             if negated:
-                t.apply_gate("Z", q)
-        if p >= 0:
-            gen_rows[q] = p
-        outcomes[st.vertex] = outcome
-        order.append(st.vertex)
-    measured = set(outcomes)
+                sim.gate("Z", q)
+        outcomes[q] = outcome
+        order.append(q)
+    # Measured vertices are isolated now, so the outputs are in a product
+    # with everything else exactly when no straggler (an unmeasured
+    # non-output vertex) is adjacent to an output: the entanglement of a
+    # graph state across a cut is the GF(2) rank of the cut's edges.
     outs = set(pattern.outputs)
-    stragglers = sorted(v for v in ids if v not in measured and v not in outs)
-    kept_sorted = sorted(outs | set(stragglers))
-    keep = [index[v] for v in kept_sorted]
-    adj, ops = restricted_stab_graph(t, keep, gen_rows)
+    entangled = set().union(*(sim.neighbors(v) for v in outs)) - outs
+    if entangled:
+        raise PatternError(
+            f"pattern leaves vertex {min(entangled)} entangled with the outputs")
     # Keep Pauli byproducts inside the vertex operators: the graph is the
     # full post-measurement state, exactly like the dense lane's amplitudes;
     # the returned frame holds only the pattern's byproduct corrections.
-    edges = [(kept_sorted[a], kept_sorted[b])
-             for a, nbrs in adj.items() for b in nbrs if a < b]
-    graph = GraphState(kept_sorted, edges,
-                       {kept_sorted[i]: op for i, op in ops.items()})
-    if stragglers:
-        for v in stragglers:
-            if graph.neighbors(v) & outs:
-                raise PatternError(
-                    f"pattern leaves vertex {v} entangled with the outputs")
-        sub_edges = [(u, v) for u, v in graph.edges() if u in outs and v in outs]
-        sub_ops = {v: op for v, op in graph.vertex_ops.items() if v in outs}
-        graph = GraphState(sorted(outs), sub_edges, sub_ops)
+    keep = sorted(outs)
+    adj, ops = sim.restricted_graph(keep)
+    edges = [(keep[a], keep[b]) for a, nbrs in adj.items() for b in nbrs if a < b]
+    graph = GraphState(keep, edges, {keep[i]: op for i, op in ops.items()})
     frame = _frame_from_corrections(pattern, outcomes)
     return PatternResult(outcomes, order, frame, output_graph=graph)
 
@@ -534,7 +533,6 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     labels = list(_BASIS_STATES)
     per_input: dict[str, float] = {}
     worst = 0.0
-    import itertools
     for combo in itertools.product(labels, repeat=k):
         vec = np.array([1.0], complex)
         for lab in combo:

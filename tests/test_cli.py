@@ -70,6 +70,19 @@ class TestBuildCluster:
         rc = run_cli(["build-cluster", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("config", [
+        '{"lx": "a", "ly": 2}',
+        '{"lx": 2, "ly": 2, "dead": [[0]]}',
+        '{"lx": 2, "ly": 2, "seed": "x"}',
+        '{"lx": 2, "ly": 2, "dead": 5}',
+    ])
+    def test_mistyped_config_values_are_config_errors(self, tmp_path, config, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        rc = run_cli(["build-cluster", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_statevector_cap_exit_code(self, tmp_path):
         rc = run_cli(["build-cluster", "--size", "4x3", "--backend", "statevector",
                       "--out", str(tmp_path / "o")])
@@ -229,11 +242,30 @@ class TestMbqc:
             assert doc["identity_wire_distance"] < 1e-9
 
 
-    def test_stabilizer_tableau_cap_exit_code(self, tmp_path):
-        # 257 * 256 = 65792 vertices, just above the 2^16-qubit tableau cap.
+    def test_stabilizer_carved_wire_above_tableau_cap(self, tmp_path):
+        # 257 * 256 = 65792 vertices, above the 2^16-qubit tableau cap: the
+        # stabilizer backend runs the graph-state engine and builds no tableau.
+        from sicluster.graphstate import grid_graph
+        from sicluster.mbqc import carved_wire_pattern
+
+        pattern, path = carved_wire_pattern(grid_graph(257, 256), 0, 4 * 256)
+        assert path == [0, 256, 512, 768, 1024]
+        pf = tmp_path / "pattern.json"
+        pf.write_text(pattern.to_json())
+        out = tmp_path / "r.json"
+        rc = run_cli(["mbqc", "--cluster", "grid:257x256", "--pattern", str(pf),
+                      "--backend", "stabilizer", "--seed", "4", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert [v for v, _ in doc["outcomes"]] == [step.vertex for step in pattern.steps]
+
+    def test_stabilizer_straggler_next_to_output_exit_code(self, tmp_path, capsys):
+        # wire:3 measures vertices 0 and 1 only; output 2 keeps its grid
+        # neighbours, which are unmeasured and entangled with it.
         rc = run_cli(["mbqc", "--cluster", "grid:257x256", "--builtin", "wire:3",
                       "--backend", "stabilizer", "--out", str(tmp_path / "r.json")])
-        assert rc == EXIT_RESOURCE
+        assert rc == EXIT_CONFIG
+        assert "entangled with the outputs" in capsys.readouterr().err
 
 
 class TestTiming:

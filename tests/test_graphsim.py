@@ -5,6 +5,7 @@ import pytest
 
 from sicluster import cliffords
 from sicluster.graphsim import _ZP_MOVES, GraphSimulator
+from sicluster.graphstate import GraphState
 from sicluster.tableau import (
     Basis,
     from_graph_state,
@@ -159,3 +160,33 @@ def test_bad_arguments():
         sim.gate("T", 0)
     with pytest.raises(ValueError):
         GraphSimulator(0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_from_graph_starts_in_the_graph_state(seed):
+    # Arbitrary vertex ids become the engine's qubit labels; the engine then
+    # tracks the tableau of the same graph state through a random circuit.
+    rng = np.random.default_rng(700 + seed)
+    n = 2 + seed % 6
+    labels = [3 * i + 7 for i in range(n)]
+    edges = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < 0.5]
+    vops = {v: cliffords.ELEMENTS[int(rng.integers(24))] for v in labels}
+    g = GraphState(labels, edges, vops)
+    before = g.copy()
+    sim = GraphSimulator.from_graph(g)
+    t = from_graph_state(g)
+    assert same_stabilizer_group(from_graph_state(sim), t)
+    c_sim, c_t = np.random.default_rng(seed), np.random.default_rng(seed)
+    for op in random_ops(n, 12, rng):
+        if op[0] == "CZ":
+            sim.cz(labels[op[1]], labels[op[2]])
+            t.apply_gate("CZ", op[1], op[2])
+        elif op[0] == "M":
+            assert sim.measure(labels[op[1]], op[2], c_sim) == t.measure(op[1], op[2], c_t)
+        else:
+            sim.gate(op[0], labels[op[1]])
+            t.apply_gate(op[0], op[1])
+    assert c_sim.bit_generator.state == c_t.bit_generator.state
+    assert same_stabilizer_group(from_graph_state(sim), t)
+    assert g == before  # the engine works on its own copy

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sicluster.graphstate import GraphState, grid_graph, line_graph
 from sicluster.mbqc import (
@@ -19,7 +21,7 @@ from sicluster.mbqc import (
     verify_logical,
     wire_pattern,
 )
-from sicluster.statevec import StateVector
+from sicluster.statevec import StateVector, tableau_from_statevector
 from sicluster.tableau import from_graph_state, same_stabilizer_group
 
 
@@ -86,8 +88,6 @@ class TestExecution:
             assert a.frame == b.frame
 
     def test_stabilizer_output_graph_matches_dense_state(self):
-        from sicluster.statevec import tableau_from_statevector
-
         cl = grid_graph(2, 3)
         pat = MeasurementPattern([], [0, 3], [
             MeasurementStep(v, basis=b) for v, b in
@@ -133,6 +133,63 @@ class TestExecution:
         pat = MeasurementPattern([0], [1], [MeasurementStep(0, basis="X")])
         with pytest.raises(PatternError):
             execute_pattern(g, pat, rng=np.random.default_rng(0))
+
+
+@st.composite
+def pauli_patterns(draw):
+    """A graph of at most 10 vertices and a Pauli pattern on it: X/Y/Z or
+    quarter-angle steps with s/t adaptation, some vertices left unmeasured."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    order = draw(st.permutations(range(n)))
+    n_out = draw(st.integers(1, min(3, n)))
+    outputs, rest = order[:n_out], order[n_out:]
+    measured = rest[:draw(st.integers(0, len(rest)))]  # the rest are stragglers
+    earlier = st.sets(st.sampled_from(measured)) if measured else st.just(set())
+
+    steps = []
+    for j, v in enumerate(measured):
+        kind = draw(st.sampled_from(["X", "Y", "Z", "angle"]))
+        if kind == "Z":
+            steps.append(MeasurementStep(v, basis="Z"))
+            continue
+        deps = [draw(earlier) & set(measured[:j]) for _ in range(2)]
+        if kind == "angle":
+            steps.append(MeasurementStep(v, angle=draw(st.integers(-4, 4)) * np.pi / 2,
+                                         s_adapt=deps[0], t_adapt=deps[1]))
+        else:
+            steps.append(MeasurementStep(v, basis=kind, s_adapt=deps[0], t_adapt=deps[1]))
+    corrections = {v: {"x": draw(earlier), "z": draw(earlier)} for v in outputs}
+    pattern = MeasurementPattern([], outputs, steps, corrections)
+    return GraphState(range(n), edges), pattern, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=pauli_patterns())
+def test_stabilizer_and_dense_executors_agree(case):
+    cluster, pattern, seed = case
+    results, coins = {}, {}
+    for backend in ("stabilizer", "statevector"):
+        rng = np.random.default_rng(seed)
+        try:
+            results[backend] = execute_pattern(cluster, pattern, backend=backend, rng=rng)
+        except PatternError as exc:
+            results[backend] = exc
+        coins[backend] = rng.bit_generator.state
+    stab, dense = results["stabilizer"], results["statevector"]
+    assert isinstance(stab, PatternError) == isinstance(dense, PatternError), results
+    assert coins["stabilizer"] == coins["statevector"]
+    if isinstance(stab, PatternError):
+        return
+    assert stab.outcomes == dense.outcomes
+    assert stab.order == dense.order
+    assert stab.frame == dense.frame
+    # The dense output state lists its qubits in pattern.outputs order.
+    relabel = {v: i for i, v in enumerate(pattern.outputs)}
+    assert same_stabilizer_group(from_graph_state(stab.output_graph.relabeled(relabel)),
+                                 tableau_from_statevector(dense.output_state.psi))
 
 
 class TestLogicalChannels:
