@@ -1,7 +1,7 @@
 """Simulator for a silicon-donor cluster-state quantum computing architecture.
 
 The package covers the full pipeline: an in-place graph-state stabilizer
-engine for lattice-scale protocols, a bit-packed stabilizer tableau oracle,
+engine for lattice-scale protocols, an Aaronson-Gottesman tableau oracle,
 graph-state algebra with local-complementation measurement rules, the
 donor-lattice global-operation protocol, a dense two-spin pulse-level
 validation of the entangling gate, measurement-based computation on the

@@ -131,6 +131,17 @@ def steps_from_config(spec) -> list:
     return steps
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_size(text: str) -> tuple[int, int]:
     try:
         lx, ly = text.lower().split("x")
@@ -287,7 +298,6 @@ def _verify_cases() -> list[tuple[int, int]]:
 
 
 def cmd_verify_protocol(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     rows = []
     failures = 0
     sabotage = bool(getattr(args, "selftest_negate_predictor", False))
@@ -300,12 +310,12 @@ def cmd_verify_protocol(args) -> int:
             if sabotage:
                 predicted = set(predicted) ^ {(0, max(1, lattice.n_sites - 1))}
             res_st = run_protocol(lattice, steps, backend="stabilizer",
-                                  rng=substream(seed, "verify", lx, ly, name))
+                                  rng=substream(args.seed, "verify", lx, ly, name))
             checks = [("stabilizer=predictor",
                        set(res_st.graph.edges()) == set(predicted))]
             if sv_ok:
                 res_sv = run_protocol(lattice, steps, backend="statevector",
-                                      rng=substream(seed, "verify", lx, ly, name))
+                                      rng=substream(args.seed, "verify", lx, ly, name))
                 checks.append(("statevector=predictor",
                                set(res_sv.graph.edges()) == set(predicted)))
                 checks.append(("backends-agree",
@@ -422,7 +432,6 @@ def _builtin_pattern(spec: str) -> tuple[MeasurementPattern, np.ndarray | None]:
 
 
 def cmd_mbqc(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     cluster = _cluster_from_spec(args.cluster)
     if args.strip_ops:
         cluster = canonical_adjacency(cluster)
@@ -433,7 +442,7 @@ def cmd_mbqc(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --dead-vertices {args.dead_vertices!r}") from exc
 
-    report: dict = {"cluster": args.cluster, "seed": seed}
+    report: dict = {"cluster": args.cluster, "seed": args.seed}
     if args.carve:
         try:
             start_s, end_s = args.carve.split(":")
@@ -447,7 +456,7 @@ def cmd_mbqc(args) -> int:
         }
         if len(path) % 2 == 1:
             rep = verify_logical(cluster, pattern, np.eye(2, dtype=complex),
-                                 seeds=range(args.verify_seeds), root_seed=seed)
+                                 seeds=range(args.verify_seeds), root_seed=args.seed)
             report["identity_wire_distance"] = rep.distance
             report["distance_ok"] = rep.ok()
         text = _dump_json(report)
@@ -470,12 +479,12 @@ def cmd_mbqc(args) -> int:
         raise ConfigError("mbqc needs --pattern, --builtin or --carve")
 
     res = execute_pattern(cluster, pattern, backend=args.backend,
-                          rng=substream(seed, "mbqc"))
+                          rng=substream(args.seed, "mbqc"))
     report["outcomes"] = [[v, res.outcomes[v]] for v in res.order]
     report["frame"] = res.frame.as_dict()
     if target is not None and args.backend == "statevector":
         rep = verify_logical(cluster, pattern, target,
-                             seeds=range(args.verify_seeds), root_seed=seed)
+                             seeds=range(args.verify_seeds), root_seed=args.seed)
         report["channel_distance"] = rep.distance
         report["distance_ok"] = rep.ok()
         report["per_input_distance"] = rep.per_input
@@ -519,19 +528,18 @@ def cmd_survey(args) -> int:
     lx, ly = _parse_size(args.size)
     if args.pairs < 0:
         raise ConfigError("--pairs must be >= 0")
-    seed = args.seed if args.seed is not None else 0
     dead = _parse_dead(args.dead)
     if args.dead_fraction:
         if not 0.0 <= args.dead_fraction <= 1.0:
             raise ConfigError("--dead-fraction must be in [0, 1]")
-        rng = substream(seed, "survey-dead")
+        rng = substream(args.seed, "survey-dead")
         n_dead = int(round(args.dead_fraction * lx * ly))
         chosen = rng.choice(lx * ly, size=n_dead, replace=False)
         dead |= {(int(s) // ly, int(s) % ly) for s in chosen}
     lattice = DonorLattice(lx, ly)
     dm = DefectModel(dead=dead)
     steps = steps_from_config(args.protocol)
-    report = dead_pixel_survey(lattice, dm, steps, seed=seed, n_pairs=args.pairs)
+    report = dead_pixel_survey(lattice, dm, steps, seed=args.seed, n_pairs=args.pairs)
     report["size"] = f"{lx}x{ly}"
     report["protocol"] = args.protocol
     _write(args.out, _dump_json(report))
@@ -551,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--size", help="lattice as LXxLY, e.g. 3x3")
     b.add_argument("--protocol", choices=sorted(CANONICAL_PROTOCOLS))
     b.add_argument("--backend", choices=["stabilizer", "statevector"])
-    b.add_argument("--seed", type=int)
+    b.add_argument("--seed", type=_seed)
     b.add_argument("--dead", help="dead sites as i,j;i,j")
     b.add_argument("--config", help="JSON config file")
     b.add_argument("--with-noise", action="store_true",
@@ -562,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify-protocol",
                        help="backend-agreement and predictor property suite")
-    v.add_argument("--seed", type=int)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", default=None)
     v.add_argument("--format", choices=["text"], default="text")
     v.add_argument("--selftest-negate-predictor", action="store_true",
@@ -576,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of Rabi frequencies in MHz or 'inst'")
     pl.add_argument("--trend", action="store_true",
                     help="append the selectivity trend summary line")
-    pl.add_argument("--seed", type=int)
+    pl.add_argument("--seed", type=_seed)
     pl.add_argument("--out", default=None)
     pl.add_argument("--format", choices=["csv"], default="csv")
     pl.set_defaults(func=cmd_pulse)
@@ -595,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--backend", choices=["statevector", "stabilizer"],
                    default="statevector")
     m.add_argument("--verify-seeds", type=int, default=5)
-    m.add_argument("--seed", type=int)
+    m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--out", default=None)
     m.add_argument("--format", choices=["json"], default="json")
     m.set_defaults(func=cmd_mbqc)
@@ -608,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cphase-total", type=float, default=1e-7, dest="cphase_total")
     t.add_argument("--meas-rate", type=float, default=4e4, dest="meas_rate")
     t.add_argument("--t2n", type=float, default=2.5)
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=_seed)
     t.add_argument("--out", default=None)
     t.add_argument("--format", choices=["csv"], default="csv")
     t.set_defaults(func=cmd_timing)
@@ -619,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dead", help="dead sites as i,j;i,j")
     s.add_argument("--dead-fraction", type=float, default=0.0)
     s.add_argument("--pairs", type=int, default=100)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=["json"], default="json")
     s.set_defaults(func=cmd_survey)

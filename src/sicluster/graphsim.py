@@ -211,7 +211,7 @@ class GraphSimulator(GraphState):
         return graph_from_stab_matrix(*self._pack_generators(keep, pos, ops))
 
     def _pack_generators(self, keep, pos, ops):
-        """Kept generators U K_v U^dag in the packed row form of tableau._extract."""
+        """Kept generators U K_v U^dag, packed as graph_from_stab_matrix takes them."""
         k = len(keep)
         words = max(1, (k + 63) >> 6)
         xm = np.zeros((k, words), np.uint64)

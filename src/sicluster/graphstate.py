@@ -11,15 +11,12 @@ drawn by the caller from a backend or a fair coin, which keeps this module
 deterministic.
 
 Adjacency is stored as sorted sets per vertex rather than a literal bit
-matrix so that vertex deletion stays cheap at 10^4-vertex protocol scale;
-``adjacency_matrix`` materializes the dense form on demand.
+matrix so that vertex deletion stays cheap at 10^4-vertex protocol scale.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from sicluster import cliffords
 from sicluster.cliffords import Clifford1
@@ -142,15 +139,6 @@ class GraphState:
         )
         g.vertex_ops = {mapping[v]: op for v, op in self.vertex_ops.items()}
         return g
-
-    def adjacency_matrix(self) -> np.ndarray:
-        ids = self.vertices()
-        index = {v: i for i, v in enumerate(ids)}
-        mat = np.zeros((len(ids), len(ids)), np.uint8)
-        for u, v in self.edges():
-            mat[index[u], index[v]] = 1
-            mat[index[v], index[u]] = 1
-        return mat
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges())

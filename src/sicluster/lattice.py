@@ -9,10 +9,9 @@ measurement fuses the nuclei the electron touched into a clique, which is
 what turns three C-phase rounds plus two orthogonal shuttles into a
 triangle-union cluster state on the nuclei.
 
-Qubits are numbered per site (nuclear = 2*site, electron = 2*site + 1);
-interleaving the species keeps the tableau oracle's row windows tight, and
-the graph-state engine is indifferent to numbering.  Output graphs are
-indexed by site id = i * ly + j for site (i, j).
+Qubits are numbered per site (nuclear = 2*site, electron = 2*site + 1); no
+engine depends on the numbering.  Output graphs are indexed by site id =
+i * ly + j for site (i, j).
 
 One walker interprets every script: it validates the steps, shuttles the
 electrons, measures out in Z those that leave the lattice, land on a dead
@@ -21,7 +20,7 @@ and calls the noise hooks.  It drives one of four consumers through
 ``prepare``/``cz``/``gate``/``measure``.  ``run_protocol(backend=
 "stabilizer")`` runs the in-place graph-state engine
 (``sicluster.graphsim``); ``backend="tableau"`` runs the same script on the
-bit-packed stabilizer tableau and ``backend="statevector"`` on dense
+Aaronson-Gottesman stabilizer tableau and ``backend="statevector"`` on dense
 amplitudes, the two oracles the engine is checked against.
 ``predicted_edge_set`` runs it on a backend that only tracks CZ partner
 sets.
@@ -280,7 +279,6 @@ class _TableauBackend:
         self.lattice = lattice
         self.rng = rng
         self.t: StabilizerTableau | None = None
-        self.gen_rows: dict[int, int] = {}
 
     def prepare(self) -> None:
         self.t = new_plus_state(2 * self.lattice.n_sites)
@@ -292,16 +290,10 @@ class _TableauBackend:
         self.t.apply_gate(name, q)
 
     def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
-        outcome, det, p = self.t._measure_impl(q, basis, self.rng)
-        if p >= 0:
-            self.gen_rows[q] = p
-        else:
-            self.gen_rows.pop(q, None)
-        return outcome, det
+        return self.t.measure(q, basis, self.rng)
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        return restricted_stab_graph(
-            self.t, [2 * s for s in range(self.lattice.n_sites)], self.gen_rows)
+        return restricted_stab_graph(self.t, [2 * s for s in range(self.lattice.n_sites)])
 
 
 class _StatevectorBackend:

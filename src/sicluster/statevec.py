@@ -395,18 +395,25 @@ def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTa
     t0_bits = int_bits(t0)
     rmat = np.array([int_bits(b) for b in basis], np.uint8).reshape(k, n)
 
+    # One elimination of [R | T] gives the null space of R (the Z-type
+    # generators) and, column j of T being the target of X-type generator j,
+    # a w with R w = T[:, j].
+    targets = (bmat + np.diag(np.asarray(cvec, np.int64))) & 1
+    reduced, pivots = gf2_rref(np.concatenate([rmat, targets], axis=1))
+    if len(pivots) < k or any(c >= n for c in pivots):
+        raise ValueError("support basis matrix is rank-deficient")
     gens: list[PauliString] = []
     # Z-type generators: Z^w for w in the null space of R, sign (-1)^(w.t0).
-    null_basis = _gf2_nullspace(rmat)
-    for w in null_basis:
+    for f in sorted(set(range(n)) - set(pivots)):
+        w = np.zeros(n, np.uint8)
+        w[f] = 1
+        w[pivots] = reduced[:k, f]
         sign = int(np.dot(w, t0_bits)) & 1
         gens.append(PauliString(n, np.zeros(n, np.uint8), w, 2 if sign else 0))
     # X-type generators, one per support-basis vector.
     for j in range(k):
-        target = np.zeros(k, np.uint8)
-        for l in range(k):
-            target[l] = (cvec[j] & 1) if l == j else (bmat[j, l] & 1)
-        w = _gf2_solve_rt(rmat, target)
+        w = np.zeros(n, np.uint8)
+        w[pivots] = reduced[:k, n + j]
         r = rmat[j]
         overlap = int(np.sum(r & w))
         sign_bit = (cvec[j] + int(np.dot(w, t0_bits))) & 1
@@ -419,57 +426,25 @@ def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTa
     return tableau_from_stabilizers(gens)
 
 
-def _gf2_nullspace(rmat: np.ndarray) -> list[np.ndarray]:
-    """Basis of {w : R w = 0} over GF(2); R is k x n."""
-    k, n = rmat.shape if rmat.size else (0, rmat.shape[1])
-    a = rmat.copy() % 2
-    pivots = []
-    r = 0
-    for c in range(n):
-        rows = [i for i in range(r, k) if a[i, c]]
-        if not rows:
-            continue
-        p = rows[0]
-        a[[r, p]] = a[[p, r]]
-        for i in range(k):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for f in free:
-        w = np.zeros(n, np.uint8)
-        w[f] = 1
-        for i, c in enumerate(pivots):
-            if a[i, f]:
-                w[c] = 1
-        out.append(w)
-    return out
+def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 0/1 matrix over GF(2).
 
-
-def _gf2_solve_rt(rmat: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """One solution w of R w = target over GF(2) (R is k x n, rank k)."""
-    k, n = rmat.shape
-    a = np.concatenate([rmat % 2, target.reshape(k, 1) % 2], axis=1)
-    pivots = []
-    r = 0
-    for c in range(n):
-        rows = [i for i in range(r, k) if a[i, c]]
-        if not rows:
-            continue
-        p = rows[0]
-        a[[r, p]] = a[[p, r]]
-        for i in range(k):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == k:
+    Returns (reduced, pivot_cols): ``reduced`` is a new uint8 matrix whose
+    row i has its leading one in column pivot_cols[i]; rows past
+    len(pivot_cols) are zero.  The form depends only on the row space.
+    """
+    a = np.asarray(a, np.uint8) % 2
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        top = len(pivots)
+        if top == a.shape[0]:
             break
-    if r < k:
-        raise ValueError("support basis matrix is rank-deficient")
-    w = np.zeros(n, np.uint8)
-    for i, c in enumerate(pivots):
-        w[c] = a[i, n]
-    return w
+        hits = np.flatnonzero(a[top:, c])
+        if not hits.size:
+            continue
+        a[[top, top + hits[0]]] = a[[top + hits[0], top]]
+        others = a[:, c].astype(bool)
+        others[top] = False
+        a[others] ^= a[top]
+        pivots.append(c)
+    return a, pivots

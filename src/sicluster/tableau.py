@@ -1,16 +1,21 @@
-"""Bit-packed GF(2) stabilizer algebra: Clifford gates and Pauli measurements.
+"""Aaronson-Gottesman stabilizer tableau: Clifford gates and Pauli measurements.
 
-The tableau keeps n destabilizer and n stabilizer generators in the packed
-qubit-major layout described in ``_kernels``.  Signs are exact: tableau rows
-carry a +-1 sign bit, while free-standing Pauli strings track the full
-{1, i, -1, -i} phase.  The convention for a site with both bits set is Y
-(i.e. a row's operator is the product of per-site I/X/Y/Z letters).
+The CHP layout of Aaronson and Gottesman (Phys. Rev. A 70, 052328 (2004),
+quant-ph/0406196): bool arrays ``x`` and ``z`` of shape (2n, n) and signs
+``r`` of shape (2n,).  Rows 0..n-1 are the destabilizers, rows n..2n-1 the
+stabilizers; row i is (-1)^r[i] times one letter per qubit, I, X, Z or Y
+for (x, z) = (0, 0), (1, 0), (0, 1), (1, 1).  A gate updates the columns
+of its targets and a measurement multiplies rows in one vectorised pass.
+Free-standing Pauli strings track the full {1, i, -1, -i} phase.
+
+The tableau is the oracle the graph-state engine (``sicluster.graphsim``)
+is checked against.  It has no locality (gates cost O(n), measurements up
+to O(n^2)), which suits the few hundred qubits of the oracle checks.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 
 import numpy as np
 
@@ -19,13 +24,8 @@ from sicluster import cliffords
 from sicluster.graphstate import GraphState
 from sicluster.rng import draw_sign_bit
 
-# Debug mode: validate the symplectic invariants after every gate and
-# measurement.  Slow; meant for hunting sign bugs.
-AUTO_VALIDATE = os.environ.get("SICLUSTER_VALIDATE", "") not in ("", "0")
-
-# Largest tableau allocation, in bytes (see tableau_bytes).  2 GiB holds a
-# 100x100-site protocol (2 * 10^4 qubits, about 200 MB); a 300x300 lattice
-# would need about 16 GB.
+# Largest tableau allocation, in bytes (see tableau_bytes): 23 170 qubits.
+# A 100x100-site protocol (2 * 10^4 qubits) needs 1.6 GB.
 MAX_TABLEAU_BYTES = 2**31
 
 
@@ -34,8 +34,8 @@ class SizeCapError(RuntimeError):
 
 
 def tableau_bytes(n: int) -> int:
-    """Bytes of the X and Z bit blocks of an n-qubit tableau."""
-    return 2 * n * ((2 * n + 63) >> 6) * 8
+    """Bytes of the x, z and r arrays of an n-qubit tableau."""
+    return 4 * n * n + 2 * n
 
 
 class Basis(enum.Enum):
@@ -134,9 +134,38 @@ class PauliString:
         return f"PauliString({self.to_label()!r})"
 
 
-_GATE_1Q = {"H": "gate_h", "S": "gate_s", "SDG": "gate_sdg",
-            "X": "gate_x", "Y": "gate_y", "Z": "gate_z"}
-_GATE_2Q = {"CZ": "gate_cz", "CNOT": "gate_cnot", "CX": "gate_cnot"}
+def _phase(ax, az, bx, bz):
+    """Exponent of i picked up by the site-wise products a * b, summed over
+    the last axis.  With Y = iXZ a letter is i^(xz) X^x Z^z, so a * b is
+    i^(xa za + xb zb - xc zc) (-1)^(za xb) times the letter c = a ^ b."""
+    return (np.count_nonzero(ax & az, axis=-1) + np.count_nonzero(bx & bz, axis=-1)
+            - np.count_nonzero((ax ^ bx) & (az ^ bz), axis=-1)
+            + 2 * np.count_nonzero(az & bx, axis=-1))
+
+
+def _rowsum(x, z, r, rows, p) -> None:
+    """Rows ``rows`` := row p times row (AG's rowsum, all rows at once).
+
+    Signs are exact for rows that commute with row p; no sign of a
+    destabilizer is ever read."""
+    g = _phase(x[p], z[p], x[rows], z[rows])
+    r[rows] = (g + 2 * (int(r[p]) + r[rows])) & 2 != 0
+    x[rows] ^= x[p]
+    z[rows] ^= z[p]
+
+
+def _letter_images(el: cliffords.Clifford1) -> np.ndarray:
+    """Rows (x, z, sign flip) of U P U^dag for the letters P = I, Z, X, Y,
+    i.e. indexed by 2x + z."""
+    out = np.zeros((4, 3), bool)
+    for row, axis in ((1, 2), (2, 0), (3, 1)):
+        image, sign = el.conj_pauli(axis)
+        out[row] = (image != 2, image != 0, sign)
+    return out
+
+
+_IMAGES = {el: _letter_images(el) for el in cliffords.ELEMENTS}
+_GATES_1Q = {name: cliffords.by_name(name) for name in ("H", "S", "SDG", "X", "Y", "Z")}
 
 
 class StabilizerTableau:
@@ -156,32 +185,14 @@ class StabilizerTableau:
                 f"a {n}-qubit tableau needs {tableau_bytes(n) / 2**30:.1f} GiB, "
                 f"cap is {MAX_TABLEAU_BYTES / 2**30:.1f} GiB")
         self.n = n
-        nwords = (2 * n + 63) >> 6
-        self.xs = np.zeros((n, nwords), np.uint64)
-        self.zs = np.zeros((n, nwords), np.uint64)
-        self.rs = np.zeros(nwords, np.uint64)
-        self.lo = np.zeros(2 * n, np.int32)
-        self.hi = np.zeros(2 * n, np.int32)
-
-    # -- construction -------------------------------------------------------
-
-    def _init_plus(self) -> None:
-        i = np.arange(self.n)
-        sb, db = 2 * i + 1, 2 * i
-        one = np.uint64(1)
-        self.xs[i, sb >> 6] |= one << (sb & 63).astype(np.uint64)
-        self.zs[i, db >> 6] |= one << (db & 63).astype(np.uint64)
-        self.lo[sb] = self.lo[db] = i
-        self.hi[sb] = self.hi[db] = i + 1
+        self.x = np.zeros((2 * n, n), bool)
+        self.z = np.zeros((2 * n, n), bool)
+        self.r = np.zeros(2 * n, bool)
 
     def copy(self) -> "StabilizerTableau":
         t = StabilizerTableau.__new__(StabilizerTableau)
         t.n = self.n
-        t.xs = self.xs.copy()
-        t.zs = self.zs.copy()
-        t.rs = self.rs.copy()
-        t.lo = self.lo.copy()
-        t.hi = self.hi.copy()
+        t.x, t.z, t.r = self.x.copy(), self.z.copy(), self.r.copy()
         return t
 
     # -- gates --------------------------------------------------------------
@@ -193,32 +204,36 @@ class StabilizerTableau:
         distinct targets).
         """
         gate = gate.upper()
-        lane = kern.active_lane()
-        if gate in _GATE_1Q:
+        if gate in _GATES_1Q:
             if len(targets) != 1:
                 raise ValueError(f"{gate} takes one target")
-            (q,) = targets
-            self._check_q(q)
-            getattr(lane, _GATE_1Q[gate])(self.xs, self.zs, self.rs, q)
-        elif gate in _GATE_2Q:
-            if len(targets) != 2:
-                raise ValueError(f"{gate} takes two targets")
-            a, b = targets
-            self._check_q(a)
-            self._check_q(b)
-            if a == b:
-                raise ValueError("two-qubit gate targets must be distinct")
-            getattr(lane, _GATE_2Q[gate])(self.xs, self.zs, self.rs, self.lo, self.hi, a, b)
-        else:
+            return self.apply_clifford1(_GATES_1Q[gate], targets[0])
+        if gate not in ("CZ", "CNOT", "CX"):
             raise ValueError(f"unknown gate {gate!r}")
-        if AUTO_VALIDATE:
-            self.validate()
+        if len(targets) != 2:
+            raise ValueError(f"{gate} takes two targets")
+        a, b = targets
+        self._check_q(a)
+        self._check_q(b)
+        if a == b:
+            raise ValueError("two-qubit gate targets must be distinct")
+        xa, za, xb, zb = self.x[:, a], self.z[:, a], self.x[:, b], self.z[:, b]
+        if gate == "CZ":
+            self.r ^= xa & xb & (za ^ zb)
+            za ^= xb
+            zb ^= xa
+        else:
+            self.r ^= xa & zb & ~(xb ^ za)
+            xb ^= xa
+            za ^= zb
         return self
 
     def apply_clifford1(self, el: cliffords.Clifford1, q: int) -> "StabilizerTableau":
-        """Apply a single-qubit Clifford group element via its H/S word."""
-        for letter in reversed(el.word):
-            self.apply_gate(letter, q)
+        """Apply a single-qubit Clifford group element to qubit q."""
+        self._check_q(q)
+        image = _IMAGES[el][2 * self.x[:, q] + self.z[:, q]]
+        self.x[:, q], self.z[:, q] = image[:, 0], image[:, 1]
+        self.r ^= image[:, 2]
         return self
 
     def _check_q(self, q: int) -> None:
@@ -232,64 +247,32 @@ class StabilizerTableau:
 
         Returns (outcome, deterministic) with outcome in {+1, -1}.  Random
         outcomes consume exactly one draw from ``rng``; deterministic ones
-        consume none.  Y and Z are routed through the X code path by basis
-        conjugation.
+        consume none.
         """
-        out, det, _ = self._measure_impl(q, basis, rng)
-        return out, det
+        return self._measure_impl(q, basis, rng)
 
-    def _measure_impl(self, q: int, basis: Basis, rng) -> tuple[int, bool, int]:
+    def _measure_impl(self, q: int, basis: Basis, rng) -> tuple[int, bool]:
         self._check_q(q)
-        if basis == Basis.Z:
-            pre, post = "H", "H"
-        elif basis == Basis.Y:
-            pre, post = "SDG", "S"
-        else:
-            pre = post = None
-        if pre:
-            self.apply_gate(pre, q)
-        lane = kern.active_lane()
-        p = self._pick_pivot_row(q)
-        if p >= 0:
-            coin = draw_sign_bit(rng, 0.5)
-            lane.measure_x_random(self.xs, self.zs, self.rs, self.lo, self.hi, q, p, coin)
-            outcome, det = (-1 if coin else 1), False
-        else:
-            rows = (kern.bits_of(self.zs[q] & kern.EVEN_MASK) + 1).astype(np.int64)
-            exp, ax, az = lane.group_sign(self.xs, self.zs, self.rs, self.lo, self.hi, rows)
-            want_x = np.zeros_like(ax)
-            want_x[q >> 6] = np.uint64(1) << np.uint64(q & 63)
-            if exp & 1 or az.any() or not np.array_equal(ax, want_x):
-                raise AssertionError("deterministic measurement product is not +-X_q")
-            outcome, det, p = (1 if exp == 0 else -1), True, -1
-        if post:
-            self.apply_gate(post, q)
-        if AUTO_VALIDATE:
-            self.validate()
-        return outcome, det, p
+        n, x, z, r = self.n, self.x, self.z, self.r
+        pauli = PauliString.single(n, q, basis)
+        hits = self._anticommuting(pauli)
+        if hits[-1] < n:
+            return self.expectation(pauli), True
+        # AG's random case: the first anticommuting stabilizer p is
+        # multiplied into every other anticommuting row, becomes the
+        # destabilizer of the new generator and is replaced by +-P_q.
+        p = int(hits[hits >= n][0])
+        coin = draw_sign_bit(rng, 0.5)
+        _rowsum(x, z, r, hits[hits != p], p)
+        x[p - n], z[p - n], r[p - n] = x[p], z[p], r[p]
+        x[p], z[p], r[p] = pauli.x, pauli.z, coin
+        return (-1 if coin else 1), False
 
-    def _pick_pivot_row(self, q: int) -> int:
-        """Anticommuting stabilizer row-bit with the smallest column window.
-
-        Any anticommuting stabilizer works; taking the narrowest one keeps
-        the rowsum pass local and damps window growth over long measurement
-        rounds (ties break toward the lowest row for determinism).
-        """
-        cands = kern.bits_of(self.zs[q] & kern.ODD_MASK)
-        if cands.size == 0:
-            return -1
-        spans = self.hi[cands] - self.lo[cands]
-        return int(cands[int(np.argmin(spans))])
-
-    def _clean_stab_column(self, q: int, p: int) -> None:
-        """Clear the measured-Pauli bits of column q from all stabilizer rows.
-
-        Presentation-only rewrite (multiplies rows by the generator at row-bit
-        ``p``); it deliberately skips the matching destabilizer fix-up, so the
-        destabilizer half is invalid afterwards.  Used just before restricting
-        to a sub-register, where only stabilizer rows survive.
-        """
-        kern.active_lane().clean_column(self.xs, self.zs, self.rs, q, p)
+    def _anticommuting(self, p: PauliString) -> np.ndarray:
+        """Indices of the rows that anticommute with p."""
+        odd = (np.count_nonzero(self.x[:, p.z.astype(bool)], axis=1)
+               + np.count_nonzero(self.z[:, p.x.astype(bool)], axis=1))
+        return np.flatnonzero(odd & 1)
 
     # -- queries ------------------------------------------------------------
 
@@ -301,106 +284,53 @@ class StabilizerTableau:
             raise ValueError("expectation of a non-Hermitian (imaginary) Pauli")
         if p.is_identity():
             return 1 if p.phase_exp == 0 else -1
-        parity = np.zeros_like(self.rs)
-        for c in p.support():
-            c = int(c)
-            if p.x[c]:
-                parity ^= self.zs[c]
-            if p.z[c]:
-                parity ^= self.xs[c]
-        if (parity & kern.ODD_MASK).any():
+        hits = self._anticommuting(p)
+        if hits[-1] >= self.n:
             return 0
-        rows = (kern.bits_of(parity & kern.EVEN_MASK) + 1).astype(np.int64)
-        exp, ax, az = kern.active_lane().group_sign(
-            self.xs, self.zs, self.rs, self.lo, self.hi, rows)
-        if not (np.array_equal(ax, _pack_bits(p.x)) and np.array_equal(az, _pack_bits(p.z))):
+        # The destabilizers that anticommute with p pick out the stabilizers
+        # whose product is +-p.  Multiply them in order, prefix by prefix.
+        rows = hits + self.n
+        x, z = self.x[rows], self.z[rows]
+        px = np.logical_xor.accumulate(x, axis=0)
+        pz = np.logical_xor.accumulate(z, axis=0)
+        if not (np.array_equal(px[-1], p.x != 0) and np.array_equal(pz[-1], p.z != 0)):
             raise AssertionError("commuting Pauli not generated by stabilizer group")
-        sign = 1 if exp == 0 else -1
+        exp = int(_phase(px[:-1], pz[:-1], x[1:], z[1:]).sum()) + 2 * int(self.r[rows].sum())
+        if exp & 1:
+            raise AssertionError("product of stabilizers has an imaginary phase")
+        sign = -1 if exp & 2 else 1
         return sign if p.phase_exp == 0 else -sign
 
     def stabilizer_rows(self) -> list[PauliString]:
-        rows = np.arange(1, 2 * self.n, 2, dtype=np.int64)
-        xm, zm, sg, _, _ = self._extract(rows)
-        return [_row_to_pauli(self.n, xm[i], zm[i], sg[i]) for i in range(self.n)]
-
-    def destabilizer_rows(self) -> list[PauliString]:
-        rows = np.arange(0, 2 * self.n, 2, dtype=np.int64)
-        xm, zm, sg, _, _ = self._extract(rows)
-        return [_row_to_pauli(self.n, xm[i], zm[i], sg[i]) for i in range(self.n)]
-
-    def _extract(self, rows, colmap=None, n_out=None):
-        lane = kern.active_lane()
-        if colmap is None:
-            colmap = np.arange(self.n, dtype=np.int32)
-            n_out = self.n
-        rows = np.asarray(rows, np.int64)
-        row_map = np.full(2 * self.n, -1, np.int32)
-        row_map[rows] = np.arange(rows.size, dtype=np.int32)
-        return lane.extract_rows_transposed(self.xs, self.zs, self.rs,
-                                            row_map, colmap, n_out, rows.size)
+        n = self.n
+        return [PauliString(n, self.x[i].astype(np.uint8), self.z[i].astype(np.uint8),
+                            2 * int(self.r[i])) for i in range(n, 2 * n)]
 
     def dump(self) -> str:
         """Debug form: one stabilizer per line, e.g. ``+XZI``."""
-        lines = []
-        for row in self.stabilizer_rows():
-            label = row.to_label()
-            if not label.startswith(("+", "-")):
-                label = "+" + label
-            lines.append(label)
-        return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.dump()
+        return "\n".join(row.to_label() for row in self.stabilizer_rows())
 
     def validate(self) -> None:
-        """Check the symplectic invariants; raises AssertionError on damage."""
-        stabs = self.stabilizer_rows()
-        destabs = self.destabilizer_rows()
-        for i, s in enumerate(stabs):
-            if s.is_identity():
-                raise AssertionError(f"stabilizer {i} is the identity")
-            for j in range(i + 1, self.n):
-                if not s.commutes_with(stabs[j]):
-                    raise AssertionError(f"stabilizers {i},{j} anticommute")
-        for i, d in enumerate(destabs):
-            for j, s in enumerate(stabs):
-                want = i != j
-                if d.commutes_with(s) != want:
-                    raise AssertionError(f"destabilizer {i} pairing broken at {j}")
-        for b in range(2 * self.n):
-            i, is_stab = b >> 1, b & 1
-            row = stabs[i] if is_stab else destabs[i]
-            sup = row.support()
-            if sup.size and not (self.lo[b] <= sup[0] and sup[-1] < self.hi[b]):
-                raise AssertionError(f"window of row-bit {b} does not cover support")
+        """Check the symplectic form; raises AssertionError on damage.
+
+        Destabilizer i must anticommute with stabilizer i and commute with
+        every other row; the stabilizers must commute with each other.
+        """
+        n = self.n
+        x, z = self.x.astype(np.int64), self.z.astype(np.int64)
+        want = np.zeros((2 * n, 2 * n), np.int64)
+        want[:n, n:] = want[n:, :n] = np.eye(n, dtype=np.int64)
+        bad = np.argwhere((x @ z.T + z @ x.T) % 2 != want)
+        if bad.size:
+            raise AssertionError(f"rows {bad[0][0]} and {bad[0][1]} break the symplectic form")
 
     # -- graph-state conversion ---------------------------------------------
 
     def to_graph_state(self) -> GraphState:
         """Express the state as a graph plus per-vertex local Cliffords."""
-        rows = np.arange(1, 2 * self.n, 2, dtype=np.int64)
-        xm, zm, sg, rlo, rhi = self._extract(rows)
-        adj, ops = graph_from_stab_matrix(xm, zm, sg, rlo, rhi)
+        adj, ops = restricted_stab_graph(self, list(range(self.n)))
         edges = [(v, u) for v, nbrs in adj.items() for u in nbrs if u > v]
         return GraphState(range(self.n), edges, ops)
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    n = bits.shape[0]
-    out = np.zeros((n + 63) >> 6, np.uint64)
-    idx = np.flatnonzero(bits)
-    if idx.size:
-        np.bitwise_or.at(out, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-    return out
-
-
-def _row_to_pauli(n: int, xw: np.ndarray, zw: np.ndarray, sign: int) -> PauliString:
-    p = PauliString(n, phase_exp=2 if sign else 0)
-    for c in kern.bits_of(xw):
-        p.x[c] = 1
-    for c in kern.bits_of(zw):
-        p.z[c] = 1
-    return p
 
 
 def graph_from_stab_matrix(xm, zm, sg, rlo, rhi) -> tuple[dict, dict]:
@@ -449,7 +379,10 @@ def graph_from_stab_matrix(xm, zm, sg, rlo, rhi) -> tuple[dict, dict]:
         if sg[r]:
             z_cols.add(v)
             sg[r] = 0
-        adj[v] = {int(u) for u in kern.bits_of(zm[r])}
+        words = np.flatnonzero(zm[r])
+        hit = np.flatnonzero(np.unpackbits(zm[r, words].astype("<u8").view(np.uint8),
+                                           bitorder="little"))
+        adj[v] = set((words[hit >> 6] << 6 | hit & 63).tolist())
     for v in range(k):
         for u in adj[v]:
             if v not in adj[u] or u == v:
@@ -481,118 +414,44 @@ REDUCTION_OPS = {(h, s, z): _reduction_op(h, s, z)
                  for h in (False, True) for s in (False, True) for z in (False, True)}
 
 
-def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int],
-                          gen_rows: dict[int, int]) -> tuple[dict, dict]:
-    """Graph form of the state restricted to ``keep_cols``.
+def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int]) -> tuple[dict, dict]:
+    """Graph form of the state restricted to ``keep_cols``, indexed by position.
 
-    The kept marginal must be pure (each dropped qubit disentangled from the
-    kept set).  Measured qubits come with their single-qubit generator
-    row-bit in ``gen_rows``.  Other dropped columns are retired per-column:
-
-    * one supporting row: exclude it, nothing else references the column;
-    * several rows sharing one Pauli letter: multiply all but one by the
-      virtual generator sigma*P_q (sign from the pristine group), which is a
-      single-column rewrite, then exclude the pivot.  The pivot is a row of
-      the product that forms sigma*P_q, so the rewritten rows stay
-      independent;
-    * mixed letters (a dropped factor entangled within itself): exclude
-      every supporting row outright.
-
-    Surviving rows are independent group members with no dropped support;
-    finding exactly len(keep_cols) of them certifies the restriction, so any
-    presentation this scheme cannot untangle fails loudly rather than
-    returning a wrong graph.
+    Eliminates the dropped columns from the stabilizer rows, one X or Z bit
+    column at a time, with sign-tracked row products.  The rows left with no
+    dropped support generate the stabilizers supported on the kept qubits.
+    There are len(keep_cols) of them exactly when the kept marginal is pure;
+    otherwise the kept qubits are entangled with dropped ones and ValueError
+    is raised.  The tableau is not changed.
     """
-    keep_set = set(keep_cols)
-    nwords = t.rs.shape[0]
-    one = np.uint64(1)
-    excl_mask = np.zeros(nwords, np.uint64)
-
-    def exclude(bit: int) -> None:
-        excl_mask[bit >> 6] |= one << np.uint64(bit & 63)
-
-    def letter_at(q: int, bit: int) -> tuple[bool, bool]:
-        w, b = bit >> 6, np.uint64(bit & 63)
-        return bool((t.xs[q, w] >> b) & one), bool((t.zs[q, w] >> b) & one)
-
-    dropped = [q for q in range(t.n) if q not in keep_set and q not in gen_rows]
-    for q in gen_rows:
-        if q in keep_set:
-            raise ValueError(f"qubit {q} is both kept and marked as measured")
-
-    # Virtual generator signs, and the supporting rows whose product forms
-    # the generator, must come from the intact tableau: the cleanup below
-    # rewrites stabilizer rows without fixing destabilizers, which
-    # expectation() relies on.
-    virtual_sign: dict[int, int] = {}
-    factors: dict[int, np.ndarray] = {}
-    for q in dropped:
-        support = (t.xs[q] | t.zs[q]) & kern.ODD_MASK
-        bits = kern.bits_of(support)
-        if bits.size < 2:
-            continue
-        first = letter_at(q, int(bits[0]))
-        if all(letter_at(q, int(b)) == first for b in bits[1:]):
-            px, pz = first
-            basis = Basis.Y if (px and pz) else (Basis.X if px else Basis.Z)
-            virtual_sign[q] = t.expectation(PauliString.single(t.n, q, basis))
-            # Stabilizer i is a factor iff destabilizer i anticommutes with P_q.
-            parity = (t.zs[q] if px else 0) ^ (t.xs[q] if pz else 0)
-            factors[q] = kern.bits_of(((parity & kern.EVEN_MASK) << one) & support)
-
-    for q, p in gen_rows.items():
-        t._clean_stab_column(q, p)
-        exclude(p)
-
-    for q in dropped:
-        support = (t.xs[q] | t.zs[q]) & kern.ODD_MASK & ~excl_mask
-        bits = kern.bits_of(support)
-        if bits.size == 0:
-            continue
-        letters = {letter_at(q, int(b)) for b in bits}
-        if len(letters) > 1 or q not in virtual_sign and bits.size > 1:
-            # mixed letters, or letters homogenized only by prior exclusions:
-            # retire the column by excluding every supporting row.
-            for b in bits:
-                exclude(int(b))
-            continue
-        # The pivot must be a factor of the virtual generator (one of the
-        # rows whose product is sigma*P_q).  Cleaning a factor against the
-        # generator leaves the product of the other factors, so the rows
-        # would lose a dimension; a bare generator (support exactly {q}) is
-        # annihilated outright.  Windows cannot pick such rows out: they only
-        # bound the support, and a later C-phase widens a bare row's window.
-        h0 = next((int(b) for b in bits if b in factors.get(q, ())), int(bits[0]))
-        if bits.size > 1:
-            px, pz = letter_at(q, h0)
-            mask = support.copy()
-            mask[h0 >> 6] &= ~(one << np.uint64(h0 & 63))
-            if px:
-                t.xs[q] ^= mask
-            if pz:
-                t.zs[q] ^= mask
-            if virtual_sign[q] == -1:
-                t.rs ^= mask
-        exclude(h0)
-
-    colmap = np.full(t.n, -1, np.int32)
-    for pos, q in enumerate(keep_cols):
-        colmap[q] = pos
-    k = len(keep_cols)
-    all_stabs = np.arange(1, 2 * t.n, 2, dtype=np.int64)
-    rows = np.array([b for b in all_stabs
-                     if not (excl_mask[b >> 6] >> np.uint64(b & 63)) & one], np.int64)
-    xm, zm, sg, rlo, rhi = t._extract(rows, colmap, k)
-    keep_rows = [i for i in range(rows.size) if rhi[i] > rlo[i]]
-    if len(keep_rows) != k:
+    n = t.n
+    x, z, r = t.x[n:].copy(), t.z[n:].copy(), t.r[n:].copy()
+    free = np.ones(n, bool)  # rows not yet spent as a pivot
+    for q in np.setdiff1d(np.arange(n), keep_cols):
+        for bits in (x, z):
+            hits = np.flatnonzero(bits[:, q] & free)
+            if hits.size:
+                free[hits[0]] = False
+                _rowsum(x, z, r, hits[1:], hits[0])
+    rows, k = np.flatnonzero(free), len(keep_cols)
+    if rows.size != k:
         raise ValueError(
-            f"cannot restrict to {k} qubits: found {len(keep_rows)} clean "
-            "stabilizer rows (kept marginal impure, or a presentation this "
-            "restriction cannot untangle)")
-    idx = np.array(keep_rows, np.int64)
-    return graph_from_stab_matrix(
-        np.ascontiguousarray(xm[idx]), np.ascontiguousarray(zm[idx]),
-        sg[idx], rlo[idx].copy(), rhi[idx].copy())
+            f"cannot restrict to {k} qubits: found {rows.size} stabilizers on them "
+            "(the kept qubits are entangled with dropped ones)")
+    sub = np.ix_(rows, np.asarray(keep_cols, np.int64))
+    x, z = x[sub], z[sub]
+
+    def pack(bits):  # column c at bit c & 63 of word c >> 6
+        out = np.zeros((k, max(1, (k + 63) >> 6) * 8), np.uint8)
+        out[:, :(k + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+        return out.view("<u8").astype(np.uint64)
+
+    # Tight column windows [rlo, rhi) keep the packed reduction banded.
+    cols = np.arange(k, dtype=np.int32)
+    support = x | z
+    rlo = np.where(support, cols, k).min(axis=1, initial=k).astype(np.int32)
+    rhi = np.where(support, cols + 1, 0).max(axis=1, initial=0).astype(np.int32)
+    return graph_from_stab_matrix(pack(x), pack(z), r[rows].astype(np.uint8), rlo, rhi)
 
 
 def new_plus_state(n: int) -> StabilizerTableau:
@@ -600,7 +459,8 @@ def new_plus_state(n: int) -> StabilizerTableau:
     if n < 1:
         raise ValueError("qubit count must be >= 1")
     t = StabilizerTableau(n)
-    t._init_plus()
+    i = np.arange(n)
+    t.z[i, i] = t.x[n + i, i] = True
     return t
 
 
@@ -614,23 +474,12 @@ def from_graph_state(g: GraphState) -> StabilizerTableau:
         raise ValueError("cannot build a tableau for the empty graph")
     index = {v: i for i, v in enumerate(ids)}
     n = len(ids)
-    t = StabilizerTableau(n)
-    one = np.uint64(1)
-    for v in ids:
-        i = index[v]
-        sb, db = 2 * i + 1, 2 * i
-        t.xs[i, sb >> 6] |= one << np.uint64(sb & 63)
-        t.zs[i, db >> 6] |= one << np.uint64(db & 63)
-        cols = [i] + [index[u] for u in g.neighbors(v)]
-        for u in g.neighbors(v):
-            j = index[u]
-            t.zs[j, sb >> 6] |= one << np.uint64(sb & 63)
-        t.lo[sb], t.hi[sb] = min(cols), max(cols) + 1
-        t.lo[db], t.hi[db] = i, i + 1
-    for v in ids:
-        op = g.op(v)
-        if not op.is_identity():
-            t.apply_clifford1(op, index[v])
+    t = new_plus_state(n)
+    for u, v in g.edges():  # stabilizer of v: X_v times Z on each neighbour
+        a, b = index[u], index[v]
+        t.z[n + a, b] = t.z[n + b, a] = True
+    for v, op in g.vertex_ops.items():
+        t.apply_clifford1(op, index[v])
     return t
 
 
@@ -642,11 +491,11 @@ def same_stabilizer_group(a: StabilizerTableau, b: StabilizerTableau) -> bool:
 
 
 def tableau_from_stabilizers(gens: list[PauliString]) -> StabilizerTableau:
-    """Build a full tableau from n commuting independent +-1 generators.
+    """Tableau of the state stabilized by n commuting independent +-1 generators.
 
-    Destabilizers are completed by solving the symplectic pairing conditions
-    over GF(2); their signs are set to +.  Desk-scale helper (used by the
-    dense-backend reconstruction), not tuned for large n.
+    The generators are reduced to graph form and the tableau of that graph
+    state is returned, so its stabilizer rows generate the same group in
+    graph form.  Dependent generators raise ValueError.
     """
     n = gens[0].n
     if len(gens) != n:
@@ -656,80 +505,8 @@ def tableau_from_stabilizers(gens: list[PauliString]) -> StabilizerTableau:
             raise ValueError("generator size mismatch")
         if g.phase_exp & 1:
             raise ValueError("generators must have +-1 phase")
-    # Symplectic product matrix rows for the constraint systems.
-    svecs = [np.concatenate([g.x, g.z]) for g in gens]
-
-    def sprod(a_xz, b_xz):
-        ax, az = a_xz[:n], a_xz[n:]
-        bx, bz = b_xz[:n], b_xz[n:]
-        return int(np.sum(ax & bz) + np.sum(az & bx)) & 1
-
-    destab_vecs: list[np.ndarray] = []
-    for i in range(n):
-        # Unknown d (2n bits): <d, stab_j> = delta_ij, <d, destab_j> = 0 (j<i).
-        rows, rhs = [], []
-        for j, sv in enumerate(svecs):
-            rows.append(np.concatenate([sv[n:], sv[:n]]))  # symplectic pairing
-            rhs.append(1 if j == i else 0)
-        for dv in destab_vecs:
-            rows.append(np.concatenate([dv[n:], dv[:n]]))
-            rhs.append(0)
-        sol = _solve_gf2(np.array(rows, np.uint8), np.array(rhs, np.uint8))
-        if sol is None:
-            raise ValueError("generators are dependent or non-commuting")
-        destab_vecs.append(sol)
-    for i, dv in enumerate(destab_vecs):
-        for j, sv in enumerate(svecs):
-            if sprod(dv, sv) != (1 if i == j else 0):
-                raise AssertionError("destabilizer completion failed")
-
     t = StabilizerTableau(n)
-    one = np.uint64(1)
-    for i in range(n):
-        sb, db = 2 * i + 1, 2 * i
-        for vec, bit in ((svecs[i], sb), (destab_vecs[i], db)):
-            x, z = vec[:n], vec[n:]
-            sup = np.flatnonzero(x | z)
-            if sup.size == 0:
-                raise ValueError("identity generator")
-            for c in sup:
-                c = int(c)
-                if x[c]:
-                    t.xs[c, bit >> 6] |= one << np.uint64(bit & 63)
-                if z[c]:
-                    t.zs[c, bit >> 6] |= one << np.uint64(bit & 63)
-            t.lo[bit], t.hi[bit] = int(sup[0]), int(sup[-1]) + 1
-        if gens[i].phase_exp == 2:
-            t.rs[sb >> 6] |= one << np.uint64(sb & 63)
-    return t
-
-
-def _solve_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of A x = b over GF(2), or None."""
-    a = a.copy() % 2
-    b = b.copy() % 2
-    rows, cols = a.shape
-    pivot_col_of_row = []
-    r = 0
-    for c in range(cols):
-        pivots = [i for i in range(r, rows) if a[i, c]]
-        if not pivots:
-            continue
-        p = pivots[0]
-        a[[r, p]] = a[[p, r]]
-        b[[r, p]] = b[[p, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-                b[i] ^= b[r]
-        pivot_col_of_row.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if b[i]:
-            return None
-    x = np.zeros(cols, np.uint8)
-    for i, c in enumerate(pivot_col_of_row):
-        x[c] = b[i]
-    return x
+    t.x[n:] = [g.x for g in gens]
+    t.z[n:] = [g.z for g in gens]
+    t.r[n:] = [g.phase_exp == 2 for g in gens]
+    return from_graph_state(t.to_graph_state())

@@ -243,7 +243,7 @@ class TestMbqc:
 
 
     def test_stabilizer_carved_wire_above_tableau_cap(self, tmp_path):
-        # 257 * 256 = 65792 vertices, above the 2^16-qubit tableau cap: the
+        # 257 * 256 = 65792 vertices, above the 23 170-qubit tableau cap: the
         # stabilizer backend runs the graph-state engine and builds no tableau.
         from sicluster.graphstate import grid_graph
         from sicluster.mbqc import carved_wire_pattern
@@ -324,6 +324,11 @@ class TestHelpAndEntrypoint:
 
     def test_no_command_is_config_error(self):
         assert run_cli([]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sub", ["verify-protocol", "mbqc", "survey"])
+    def test_negative_seed_is_config_error(self, sub, capsys):
+        assert run_cli([sub, "--seed", "-1"]) == EXIT_CONFIG
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_subprocess_smoke(self, tmp_path):
         proc = subprocess.run(

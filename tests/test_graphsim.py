@@ -11,6 +11,7 @@ from sicluster.tableau import (
     from_graph_state,
     graph_from_stab_matrix,
     new_plus_state,
+    restricted_stab_graph,
     same_stabilizer_group,
 )
 
@@ -67,6 +68,14 @@ def test_random_circuits_match_tableau(seed):
     sim, t, c_sim, c_t = run_pair(ops, n, coin_seed=seed)
     assert c_sim.bit_generator.state == c_t.bit_generator.state
     assert_same_state(sim, t)
+    # Measuring a random subset leaves the rest pure: both restrictions must
+    # give the same canonical graph, vertex operators (signs) included.
+    measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(n))]]
+    for q in measured:
+        basis = BASES[int(rng.integers(3))]
+        assert sim.measure(q, basis, c_sim) == t.measure(q, basis, c_t)
+    rest = [q for q in range(n) if q not in measured]
+    assert sim.restricted_graph(rest) == restricted_stab_graph(t, rest)
 
 
 def test_zp_move_table():

@@ -136,15 +136,14 @@ class TestMeasurePauli:
             g = random_graph(n, rng)
             v = int(rng.integers(n))
             t = from_graph_state(g)
-            out, det, p = t._measure_impl(v, TB(basis), np.random.default_rng(checked))
+            out, det = t.measure(v, TB(basis), np.random.default_rng(checked))
             try:
                 g2, _ = g.measure_pauli(v, basis, out)
             except ValueError:
                 assert det  # impossible branch can only be a deterministic one
                 continue
             keep = [u for u in range(n) if u != v]
-            gen = {v: p} if p >= 0 else {}
-            adj, ops = restricted_stab_graph(t, keep, gen)
+            adj, ops = restricted_stab_graph(t, keep)
             got = GraphState(keep, [(keep[a], keep[b]) for a, nb in adj.items()
                                     for b in nb if a < b],
                              {keep[i]: op for i, op in ops.items()})

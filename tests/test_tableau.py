@@ -121,8 +121,8 @@ class TestMeasurement:
         triangle = GraphState(range(3), [(0, 1), (0, 2), (1, 2)])
         for seed in range(6):
             t = from_graph_state(star)
-            _, _, p = t._measure_impl(0, Basis.Y, np.random.default_rng(seed))
-            adj, _ = restricted_stab_graph(t, [1, 2, 3], {0: p})
+            t.measure(0, Basis.Y, np.random.default_rng(seed))
+            adj, _ = restricted_stab_graph(t, [1, 2, 3])
             got = GraphState(range(3), [(a, b) for a, nb in adj.items()
                                         for b in nb if a < b])
             flag, _ = got.equal_up_to_local_cliffords(triangle)
@@ -211,8 +211,8 @@ class TestGraphConversion:
 
         for seed in range(8):
             t = new_plus_state(2).apply_gate("CZ", 0, 1)
-            out, _, p = t._measure_impl(1, Basis.Z, np.random.default_rng(seed))
-            adj, ops = restricted_stab_graph(t.copy(), [1], {})
+            out, _ = t.measure(1, Basis.Z, np.random.default_rng(seed))
+            adj, ops = restricted_stab_graph(t.copy(), [1])
             g = GraphState([0], [], ops)
             _, sv = graph_to_statevector(g)
             # kept qubit should be exactly |0> or |1> per the outcome
@@ -220,7 +220,7 @@ class TestGraphConversion:
             want[0 if out == 1 else 1] = 1.0
             assert abs(np.vdot(want, sv.psi)) > 1 - 1e-9
             # and dropping the measured qubit instead also works
-            adj2, ops2 = restricted_stab_graph(t, [0], {1: p})
+            adj2, ops2 = restricted_stab_graph(t, [0])
             g2 = GraphState([0], [], ops2)
             _, sv2 = graph_to_statevector(g2)
             plus = np.array([1, out], complex) / np.sqrt(2)
@@ -231,7 +231,7 @@ class TestGraphConversion:
 
         t = new_plus_state(2).apply_gate("CZ", 0, 1)
         with pytest.raises(ValueError):
-            restricted_stab_graph(t, [1], {})
+            restricted_stab_graph(t, [1])
 
     def test_restriction_drops_internally_entangled_pair(self):
         from sicluster.tableau import restricted_stab_graph
@@ -240,7 +240,7 @@ class TestGraphConversion:
         # (mixed letters per column), handled by excluding its rows outright.
         t = new_plus_state(3).apply_gate("CZ", 1, 2)
         t.apply_gate("H", 1)
-        adj, ops = restricted_stab_graph(t.copy(), [0], {})
+        adj, ops = restricted_stab_graph(t.copy(), [0])
         assert adj == {0: set()} and not ops
 
     def test_restriction_smeared_presentation_with_negative_sign(self):
@@ -254,7 +254,7 @@ class TestGraphConversion:
                 PauliString.from_label("-XIX"),
                 PauliString.from_label("-XII")]
         t = tableau_from_stabilizers(gens)
-        adj, ops = restricted_stab_graph(t, [1, 2], {})
+        adj, ops = restricted_stab_graph(t, [1, 2])
         # group elements with I at qubit 0: r1*r3 = +Z1, r2*r3 = +X2
         g = GraphState([0, 1], [(a + 0, b) for a, nb in adj.items()
                                 for b in nb if a < b],
@@ -304,15 +304,17 @@ class TestGraphReduction:
 
 class TestResourceGuard:
     def test_estimate(self):
-        assert tableau_bytes(1) == 16
-        assert tableau_bytes(32) == 2 * 32 * 1 * 8
-        assert tableau_bytes(33) == 2 * 33 * 2 * 8
-        assert tableau_bytes(20_000) == 2 * 20_000 * 625 * 8
+        # Bool x and z of shape (2n, n) and r of shape (2n,).
+        assert tableau_bytes(1) == 6
+        assert tableau_bytes(3) == 2 * 6 * 3 + 6
+        t = new_plus_state(7)
+        assert tableau_bytes(7) == t.x.nbytes + t.z.nbytes + t.r.nbytes
+        assert tableau_bytes(20_000) == 4 * 20_000**2 + 2 * 20_000
 
     def test_cap_boundary(self):
-        # 2^16 qubits is exactly the cap; one more qubit is over it.
-        assert tableau_bytes(2**16) == MAX_TABLEAU_BYTES
-        assert tableau_bytes(2**16 + 1) > MAX_TABLEAU_BYTES
+        # 23 170 qubits fit under the cap; one more qubit is over it.
+        assert tableau_bytes(23_170) <= MAX_TABLEAU_BYTES
+        assert tableau_bytes(23_171) > MAX_TABLEAU_BYTES
 
     def test_oversized_tableau_refused_before_allocating(self):
         with pytest.raises(SizeCapError):
