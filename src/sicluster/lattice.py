@@ -37,10 +37,6 @@ import numpy as np
 from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState, MeasurementOutcomeRecord
 from sicluster.statevec import (
-    KET_MINUS,
-    KET_MINUS_I,
-    KET_PLUS,
-    KET_PLUS_I,
     MAX_QUBITS,
     SizeCapError,
     StateVector,
@@ -241,13 +237,6 @@ class RunResult:
 # -- simulation backends ------------------------------------------------------
 
 
-_EIGENSTATES = {
-    (Basis.X, 1): KET_PLUS, (Basis.X, -1): KET_MINUS,
-    (Basis.Y, 1): KET_PLUS_I, (Basis.Y, -1): KET_MINUS_I,
-    (Basis.Z, 1): np.array([1.0, 0.0], complex), (Basis.Z, -1): np.array([0.0, 1.0], complex),
-}
-
-
 class _GraphBackend:
     name = "stabilizer"
 
@@ -297,6 +286,18 @@ class _TableauBackend:
 
 
 class _StatevectorBackend:
+    """Dense amplitudes of the entangled qubits only.
+
+    Every qubit starts as a one-qubit state in ``single``.  A CZ first
+    attaches each endpoint that is still single to the amplitude array; a
+    readout of an attached qubit removes it in the same pass
+    (``StateVector.measure_out``) and leaves its eigenstate in ``single``.
+    Gates and readouts on a single qubit act on its 2-vector with the same
+    draw rule, so re-preparation and noise Z gates need no amplitudes.  An
+    11-site lattice thus reads its electrons out at 22 qubits or fewer and
+    extracts the graph from the 11 nuclei.
+    """
+
     name = "statevector"
 
     def __init__(self, lattice: DonorLattice, rng):
@@ -306,37 +307,59 @@ class _StatevectorBackend:
         if n_active > MAX_QUBITS:
             raise SizeCapError(
                 f"statevector backend needs {n_active} qubits, cap is {MAX_QUBITS}")
-        # Qubit id -> dense index: nuclei first (site order), then electrons.
-        self.index: dict[int, int] = {2 * s: s for s in range(lattice.n_sites)}
-        for e in sorted(lattice.initial_electrons().values()):
-            self.index[e] = len(self.index)
         self.sv: StateVector | None = None
-        self.final_eigen: dict[int, tuple[Basis, int]] = {}
+        self.axes: list[int] = []  # qubit id of each axis of sv
+        self.single: dict[int, StateVector] = {}
 
     def prepare(self) -> None:
-        self.sv = StateVector.all_plus(len(self.index))
+        self.sv = StateVector(0)
+        self.axes = []
+        qubits = [2 * s for s in range(self.lattice.n_sites)]
+        qubits += self.lattice.initial_electrons().values()
+        self.single = {q: StateVector.all_plus(1) for q in qubits}
+
+    def _attach(self, *qubits: int) -> None:
+        """Move the single qubits among ``qubits`` into sv as leading axes.
+
+        Their kets are multiplied together first, so the array is copied
+        once, into contiguous blocks.
+        """
+        new = [q for q in qubits if q in self.single]
+        if not new:
+            return
+        ket = np.ones(1, complex)
+        for q in new:
+            ket = np.multiply.outer(ket, self.single.pop(q).psi).reshape(-1)
+        self.sv.psi = np.multiply.outer(ket, self.sv.psi).reshape(-1)
+        self.sv.n += len(new)
+        self.axes[:0] = new
 
     def cz(self, a: int, b: int) -> None:
-        self.sv.apply_cz(self.index[a], self.index[b])
+        self._attach(a, b)
+        self.sv.apply_cz(self.axes.index(a), self.axes.index(b))
 
     def gate(self, name: str, q: int) -> None:
-        self.sv.apply_gate(name, self.index[q])
+        if q in self.single:
+            self.single[q].apply_gate(name, 0)
+        else:
+            self.sv.apply_gate(name, self.axes.index(q))
 
     def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
-        outcome, det = self.sv.measure(self.index[q], basis, self.rng)
-        self.final_eigen[q] = (basis, outcome)
+        if q in self.single:
+            return self.single[q].measure(0, basis, self.rng)
+        outcome, det, ket = self.sv.measure_out(self.axes.index(q), basis, self.rng)
+        self.axes.remove(q)
+        self.single[q] = StateVector(1, ket)
         return outcome, det
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        sv = self.sv
-        # Contract measured electrons (descending index keeps indices valid).
-        electrons = sorted(self.final_eigen, key=lambda q: self.index[q], reverse=True)
-        for q in electrons:
-            basis, outcome = self.final_eigen[q]
-            sv = sv.contract(self.index[q], _EIGENSTATES[(basis, outcome)])
-        if sv.n != self.lattice.n_sites:
+        nuclei = [2 * s for s in range(self.lattice.n_sites)]
+        self._attach(*nuclei)
+        if self.sv.n != len(nuclei):
             raise ProtocolError("unmeasured electrons remain in the dense state")
-        t = tableau_from_statevector(sv.psi)
+        site_axes = [self.axes.index(q) for q in nuclei]
+        psi = self.sv.psi.reshape([2] * self.sv.n).transpose(site_axes)
+        t = tableau_from_statevector(psi)
         g = t.to_graph_state()
         adj = {v: g.neighbors(v) for v in g.vertices()}
         ops = dict(g.vertex_ops)

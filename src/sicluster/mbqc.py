@@ -27,7 +27,7 @@ from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.lattice import PauliFrame
 from sicluster.rng import substream
-from sicluster.statevec import MAT_H, StateVector, mat_rz
+from sicluster.statevec import StateVector
 from sicluster.tableau import (  # noqa: F401  (the benchmark tracer patches the last two here)
     Basis,
     from_graph_state,
@@ -247,35 +247,24 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
     for u, v in cluster.edges():
         sv.apply_cz(index[u], index[v])
 
+    # Each readout removes its qubit, so later readouts run on fewer axes.
     outcomes: dict[int, int] = {}
     order: list[int] = []
-    eigvecs: dict[int, np.ndarray] = {}
+    remaining = list(ids)  # vertex of each axis of sv
     for st in pattern.steps:
-        q = index[st.vertex]
-        if st.basis == "Z":
-            outcome, _ = sv.measure(q, Basis.Z, rng)
-            eigvecs[st.vertex] = np.array([1.0, 0.0], complex) if outcome == 1 \
-                else np.array([0.0, 1.0], complex)
-        else:
-            a = _effective_angle(st, outcomes)
-            outcome, _ = sv.measure_xy_angle(q, a, rng)
-            bit = 0 if outcome == 1 else 1
-            eigvecs[st.vertex] = (mat_rz(a) @ MAT_H)[:, bit]
+        basis = Basis.Z if st.basis == "Z" else _effective_angle(st, outcomes)
+        outcome, _, _ = sv.measure_out(remaining.index(st.vertex), basis, rng)
+        remaining.remove(st.vertex)
         outcomes[st.vertex] = outcome
         order.append(st.vertex)
 
-    # Contract measured qubits (descending dense index keeps indices valid).
-    out = sv
-    for v in sorted(eigvecs, key=lambda v: index[v], reverse=True):
-        out = out.contract(index[v], eigvecs[v])
-    remaining = [v for v in ids if v not in eigvecs]
     stragglers = [v for v in remaining if v not in set(pattern.outputs)]
     pos = {v: i for i, v in enumerate(remaining)}
     if stragglers:
         # Unmeasured non-output vertices are tolerated only when the pattern
         # has disentangled them from the outputs (e.g. the far side of a
         # carved cluster); take the partial trace and demand a pure result.
-        work = out.psi.reshape([2] * out.n)
+        work = sv.psi.reshape([2] * sv.n)
         out_axes = [pos[v] for v in pattern.outputs]
         other_axes = [pos[v] for v in stragglers]
         work = np.transpose(work, out_axes + other_axes)
@@ -292,8 +281,8 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
         result_state = StateVector(len(pattern.outputs), psi)
     else:
         perm = [pos[v] for v in pattern.outputs]
-        psi = np.transpose(out.psi.reshape([2] * out.n), perm).reshape(-1)
-        result_state = StateVector(len(pattern.outputs), psi)
+        psi = np.transpose(sv.psi.reshape([2] * sv.n), perm).reshape(-1)
+        result_state = StateVector(len(pattern.outputs), psi / np.linalg.norm(psi))
     frame = _frame_from_corrections(pattern, outcomes)
     return PatternResult(outcomes, order, frame, output_state=result_state)
 

@@ -3,6 +3,10 @@
 Capped at 22 qubits (64 MiB of complex amplitudes).  Qubit q is tensor axis
 q of the amplitude array reshaped to [2]*n, i.e. basis index bit weight
 2^(n-1-q).  Norm is maintained to 1e-9 and checked.
+
+``StateVector.measure_out`` reads a qubit and removes it in one pass, so the
+protocol and MBQC oracles keep only the qubits that are still entangled: a
+qubit joins the array at its first CZ and leaves it at its readout.
 """
 
 from __future__ import annotations
@@ -36,10 +40,25 @@ KET_PLUS = np.array([_SQ2, _SQ2], dtype=complex)
 KET_MINUS = np.array([_SQ2, -_SQ2], dtype=complex)
 KET_PLUS_I = np.array([_SQ2, 1j * _SQ2], dtype=complex)
 KET_MINUS_I = np.array([_SQ2, -1j * _SQ2], dtype=complex)
+KET_ZERO = np.array([1.0, 0.0], dtype=complex)
+KET_ONE = np.array([0.0, 1.0], dtype=complex)
+_PAULI_EIGVECS = {Basis.X: (KET_PLUS, KET_MINUS), Basis.Y: (KET_PLUS_I, KET_MINUS_I)}
 
 
 def mat_rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
+
+
+def _eigvecs(basis: Basis | float) -> tuple[np.ndarray, np.ndarray]:
+    """The (+1, -1) eigenvectors of X or Y, or of cos(a) X + sin(a) Y."""
+    if isinstance(basis, Basis):
+        return _PAULI_EIGVECS[basis]
+    frame = mat_rz(basis) @ MAT_H
+    return frame[:, 0], frame[:, 1]
+
+
+def _sq_norm(a: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", a.real, a.real) + np.einsum("ij,ij->", a.imag, a.imag))
 
 
 class ZeroProbabilityError(RuntimeError):
@@ -47,11 +66,14 @@ class ZeroProbabilityError(RuntimeError):
 
 
 class StateVector:
-    """A pure state on n <= 22 qubits with in-place gate application."""
+    """A pure state on n <= 22 qubits with in-place gate application.
+
+    n = 0 is the empty register: one amplitude, a global phase.
+    """
 
     def __init__(self, n: int, psi: np.ndarray | None = None):
-        if n < 1:
-            raise ValueError("need at least one qubit")
+        if n < 0:
+            raise ValueError("negative qubit count")
         if n > MAX_QUBITS:
             raise SizeCapError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
         self.n = n
@@ -144,36 +166,29 @@ class StateVector:
     # -- measurement ----------------------------------------------------------
 
     def prob_one(self, q: int) -> float:
-        x1 = self._axis_view(q)[:, 1, :]
-        return float(np.einsum("ij,ij->", x1.real, x1.real)
-                     + np.einsum("ij,ij->", x1.imag, x1.imag))
+        return _sq_norm(self._axis_view(q)[:, 1, :])
 
-    def project_z(self, q: int, bit: int, renormalize: bool = True,
-                  prob: float | None = None) -> float:
-        """Project qubit q onto |bit>; returns the branch probability."""
-        if prob is None:
-            p1 = self.prob_one(q)
-            prob = p1 if bit else 1.0 - p1
-        if prob < ATOL:
-            raise ZeroProbabilityError(f"branch |{bit}> on qubit {q} has zero probability")
-        self._axis_view(q)[:, 1 - bit, :] = 0.0
-        if renormalize:
-            self.psi *= 1.0 / np.sqrt(prob)
-        return prob
-
-    def _measure_eigvecs(self, q: int, v_plus: np.ndarray, v_minus: np.ndarray,
-                         rng) -> tuple[int, bool]:
-        """Measure the observable whose +-1 eigenvectors are given.
+    def _measure(self, q: int, basis: Basis | float, rng,
+                 drop: bool) -> tuple[int, bool, np.ndarray]:
+        """Read qubit q in a Pauli basis, or at an XY angle given as a float.
 
         Projects directly onto the eigenvector (one half-size contraction
-        plus an expansion) instead of rotating the whole state into the Z
-        frame and back.  The qubit is left in the observed eigenstate.
+        per branch) instead of rotating the whole state into the Z frame and
+        back.  Deterministic outcomes consume no randomness, random ones
+        exactly one draw.  With ``drop`` the projected half-size amplitudes
+        become the state and qubit q is gone; otherwise q is left in the
+        observed eigenstate.  Returns (outcome, deterministic, eigenvector).
         """
         view = self._axis_view(q)
         x0, x1 = view[:, 0, :], view[:, 1, :]
-        a_minus = np.conj(v_minus[0]) * x0 + np.conj(v_minus[1]) * x1
-        p_minus = float(np.einsum("ij,ij->", a_minus.real, a_minus.real)
-                        + np.einsum("ij,ij->", a_minus.imag, a_minus.imag))
+        if basis is Basis.Z:
+            v_plus, v_minus = KET_ZERO, KET_ONE
+            a_minus = x1
+            p_minus = self.prob_one(q)
+        else:
+            v_plus, v_minus = _eigvecs(basis)
+            a_minus = np.conj(v_minus[0]) * x0 + np.conj(v_minus[1]) * x1
+            p_minus = _sq_norm(a_minus)
         if p_minus < ATOL:
             outcome, det, bit = 1, True, 0
         elif p_minus > 1 - ATOL:
@@ -185,12 +200,16 @@ class StateVector:
             amp = a_minus * (1.0 / np.sqrt(p_minus))
             vec = v_minus
         else:
-            amp = np.conj(v_plus[0]) * x0 + np.conj(v_plus[1]) * x1
-            amp *= 1.0 / np.sqrt(max(1.0 - p_minus, ATOL))
+            a_plus = x0 if basis is Basis.Z else np.conj(v_plus[0]) * x0 + np.conj(v_plus[1]) * x1
+            amp = a_plus * (1.0 / np.sqrt(max(1.0 - p_minus, ATOL)))
             vec = v_plus
-        view[:, 0, :] = vec[0] * amp
-        view[:, 1, :] = vec[1] * amp
-        return outcome, det
+        if drop:
+            self.n -= 1
+            self.psi = amp.reshape(-1)
+        else:
+            view[:, 0, :] = vec[0] * amp
+            view[:, 1, :] = vec[1] * amp
+        return outcome, det, vec
 
     def measure(self, q: int, basis: Basis, rng) -> tuple[int, bool]:
         """Projective Pauli measurement; returns (outcome, deterministic).
@@ -198,25 +217,23 @@ class StateVector:
         Mirrors the tableau backend's draw discipline: deterministic outcomes
         consume no randomness, random ones consume exactly one draw.
         """
-        if basis == Basis.Z:
-            p_minus = self.prob_one(q)
-            if p_minus < ATOL:
-                outcome, det, bit = 1, True, 0
-            elif p_minus > 1 - ATOL:
-                outcome, det, bit = -1, True, 1
-            else:
-                bit = draw_sign_bit(rng, p_minus)
-                outcome, det = (-1 if bit else 1), False
-            self.project_z(q, bit, prob=(p_minus if bit else 1.0 - p_minus))
-            return outcome, det
-        if basis == Basis.X:
-            return self._measure_eigvecs(q, KET_PLUS, KET_MINUS, rng)
-        return self._measure_eigvecs(q, KET_PLUS_I, KET_MINUS_I, rng)
+        return self._measure(q, basis, rng, drop=False)[:2]
 
     def measure_xy_angle(self, q: int, alpha: float, rng) -> tuple[int, bool]:
         """Measure cos(a) X + sin(a) Y; qubit left in the observed eigenstate."""
-        frame = mat_rz(alpha) @ MAT_H
-        return self._measure_eigvecs(q, frame[:, 0], frame[:, 1], rng)
+        return self._measure(q, alpha, rng, drop=False)[:2]
+
+    def measure_out(self, q: int, basis: Basis | float,
+                    rng) -> tuple[int, bool, np.ndarray]:
+        """Measure qubit q and remove it: the state shrinks to n - 1 qubits.
+
+        ``basis`` is a Pauli basis or an XY angle (as in ``measure_xy_angle``);
+        outcomes and coin draws are those of ``measure`` followed by
+        ``contract`` onto the observed eigenvector, which is returned as
+        (outcome, deterministic, eigenvector).  Removing the last qubit
+        leaves a 0-qubit state holding one global phase.
+        """
+        return self._measure(q, basis, rng, drop=True)
 
     def contract(self, q: int, local: np.ndarray) -> "StateVector":
         """Remove qubit q by projecting onto the given normalized 1-qubit state."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sicluster import lattice
 from sicluster.graphstate import export
 from sicluster.lattice import (
     DonorLattice,
@@ -27,7 +28,7 @@ from sicluster.lattice import (
 )
 from sicluster.noise import DefectModel, TimingModel, inject_noise
 from sicluster.rng import substream
-from sicluster.statevec import SizeCapError
+from sicluster.statevec import SizeCapError, StateVector, tableau_from_statevector
 from sicluster.tableau import Basis
 
 BACKENDS = ("stabilizer", "tableau", "statevector")
@@ -158,6 +159,27 @@ class TestRunProtocol:
         with pytest.raises(SizeCapError):
             run_protocol(DonorLattice(4, 3), standard_protocol(),
                          backend="statevector", rng=np.random.default_rng(0))
+
+    def test_dense_readouts_drop_their_qubit(self, monkeypatch):
+        """On 1x11 every electron leaves at the first shuttle; each readout
+        removes its qubit, and extraction sees only the 11 nuclei."""
+        widths, extracted = [], []
+        measure_out = StateVector.measure_out
+
+        def spy_measure_out(sv, q, basis, rng):
+            widths.append(sv.n)
+            return measure_out(sv, q, basis, rng)
+
+        def spy_extract(psi):
+            extracted.append(int(np.log2(psi.size)))
+            return tableau_from_statevector(psi)
+
+        monkeypatch.setattr(StateVector, "measure_out", spy_measure_out)
+        monkeypatch.setattr(lattice, "tableau_from_statevector", spy_extract)
+        run_protocol(DonorLattice(1, 11), standard_protocol(), backend="statevector",
+                     rng=np.random.default_rng(0))
+        assert widths == list(range(22, 11, -1))
+        assert extracted == [11]
 
     def test_measure_before_entanglement_warns(self):
         steps = [PrepareAllPlus(), MeasureElectrons(Basis.Y)]
@@ -375,6 +397,13 @@ class TestRandomProtocols:
             return
         self._assert_all_agree(results)
 
+    @classmethod
+    def _assert_pinned_script_agrees(cls, lx, ly, dead, script, seed):
+        results = cls._run_all(DonorLattice(lx, ly, dead=dead), [PrepareAllPlus(), *script],
+                               seed)
+        assert not any(isinstance(res, tuple) for res, _ in results.values()), results
+        cls._assert_all_agree(results)
+
     # Electrons read in X, re-prepared and read again.  The tableau
     # restriction used to reject these states (a bare generator whose window
     # a later C-phase had widened, or a pivot outside the generator's
@@ -391,18 +420,12 @@ class TestRandomProtocols:
     @pytest.mark.parametrize("name", sorted(X_REREAD_SCRIPTS))
     @pytest.mark.parametrize("seed", range(3))
     def test_backend_agreement_on_x_reread_scripts(self, name, seed):
-        lx, ly, dead, script = self.X_REREAD_SCRIPTS[name]
-        results = self._run_all(DonorLattice(lx, ly, dead=dead), [PrepareAllPlus(), *script],
-                                seed)
-        assert not any(isinstance(res, tuple) for res, _ in results.values()), results
-        self._assert_all_agree(results)
+        self._assert_pinned_script_agrees(*self.X_REREAD_SCRIPTS[name], seed)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(case=noisy_scripts())
-    def test_backend_agreement_on_noisy_scripts(self, case):
-        lx, ly, dead, steps, dm, seed = case
-        lat = DonorLattice(lx, ly, dead=dead)
+    @classmethod
+    def _noisy_reports_agree(cls, lat, steps, dm, seed):
+        """Run a noisy script on every backend; return the reference report,
+        or None when every backend rejected the script."""
         reports = {}
         for backend in BACKENDS:
             with warnings.catch_warnings():
@@ -415,17 +438,57 @@ class TestRandomProtocols:
         errors = [isinstance(rep, tuple) for rep in reports.values()]
         if any(errors):
             assert all(errors), reports
-            return
+            return None
         ref, *others = reports.values()
         for rep in others:
             assert rep.error_log == ref.error_log
-            self._assert_agree(ref.result, rep.result)
+            cls._assert_agree(ref.result, rep.result)
+        return ref
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=noisy_scripts())
+    def test_backend_agreement_on_noisy_scripts(self, case):
+        lx, ly, dead, steps, dm, seed = case
+        lat = DonorLattice(lx, ly, dead=dead)
+        ref = self._noisy_reports_agree(lat, steps, dm, seed)
+        if ref is None:
+            return
         # Pauli noise moves only the frame and the vertex operators.
         if not any(isinstance(s, MeasureElectrons) and s.basis == Basis.X for s in steps):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 pred = predicted_edge_set(lat, steps)
             assert set(ref.result.graph.edges()) == pred
+
+    # The dense backend holds a qubit in its amplitude array only from its
+    # first C-phase to its next readout.  These scripts reach the paths where
+    # a qubit is outside the array when it is gated, read or extracted.
+    _Y = MeasureElectrons(Basis.Y)
+    SINGLE_QUBIT_SCRIPTS = {
+        # Site (1, 0)'s re-prepared electron leaves the lattice before its
+        # next C-phase: a random Z readout of a qubit outside the array.
+        "reprep-shuttled-off": (2, 1, [], [_C, _Y, _R, Shuttle("+x"), _C, _Y]),
+        # The dead site's nucleus never meets an electron, so it joins the
+        # array only at extraction.
+        "dead-nucleus-never-attached": (3, 1, [(1, 0)], standard_protocol()[1:]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_QUBIT_SCRIPTS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backend_agreement_on_single_qubit_paths(self, name, seed):
+        self._assert_pinned_script_agrees(*self.SINGLE_QUBIT_SCRIPTS[name], seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backend_agreement_on_init_flip_next_to_dead_site(self, seed):
+        # Every live nucleus starts flipped, (0, 1) and (1, 0) beside the
+        # dead (1, 1) among them: Z gates on qubits outside the array.
+        lat = DonorLattice(2, 2, dead=[(1, 1)])
+        dm = DefectModel(p_init_n=1.0)
+        ref = self._noisy_reports_agree(lat, standard_protocol(), dm, seed)
+        assert ref is not None
+        for s in (lat.site_id(0, 1), lat.site_id(1, 0)):
+            assert ("init_x_flip", "nuclear", 2 * s) in ref.error_log
 
     @pytest.mark.parametrize("trial", range(10))
     def test_random_scripts_match_predictor_when_supported(self, trial):

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_state_pair
+from conftest import EIGENSTATES, random_state_pair
 from sicluster.statevec import (
+    MAT_H,
     MAX_QUBITS,
     SizeCapError,
     StateVector,
     ZeroProbabilityError,
     graph_to_statevector,
+    mat_rz,
     tableau_from_statevector,
     tableau_to_statevector,
 )
@@ -46,7 +48,7 @@ class TestBasics:
     def test_zero_probability_branch(self):
         sv = StateVector(1)  # |0>
         with pytest.raises(ZeroProbabilityError):
-            sv.project_z(0, 1)
+            sv.contract(0, np.array([0, 1], complex))
 
     def test_norm_check(self):
         with pytest.raises(AssertionError):
@@ -85,6 +87,74 @@ class TestMeasureFrames:
             o2, _ = b.measure_xy_angle(0, 0.0, np.random.default_rng(seed))
             assert o1 == o2
             assert a.fidelity(b) > 1 - 1e-9
+
+
+def _random_dense(n, rng):
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, psi / np.linalg.norm(psi))
+
+
+def _eigvec(basis, outcome):
+    """The reference eigenvector, built apart from the code under test."""
+    if isinstance(basis, Basis):
+        return EIGENSTATES[(basis.value, outcome)]
+    return (mat_rz(basis) @ MAT_H)[:, 0 if outcome == 1 else 1]
+
+
+_READOUTS = [Basis.X, Basis.Y, Basis.Z, 0.7]
+
+
+class TestMeasureOut:
+    """measure_out is measure (or measure_xy_angle) followed by contract."""
+
+    @staticmethod
+    def _reference(sv, q, basis, rng):
+        if isinstance(basis, Basis):
+            outcome, det = sv.measure(q, basis, rng)
+        else:
+            outcome, det = sv.measure_xy_angle(q, basis, rng)
+        return outcome, det, sv.contract(q, _eigvec(basis, outcome))
+
+    def _check(self, sv, q, basis, seed):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out_ref, det_ref, rest_ref = self._reference(sv.copy(), q, basis, ref_rng)
+        n = sv.n
+        outcome, det, ket = sv.measure_out(q, basis, rng)
+        assert (outcome, det) == (out_ref, det_ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.allclose(ket, _eigvec(basis, outcome), atol=1e-15)
+        assert sv.n == n - 1 and sv.psi.shape == (1 << (n - 1),)
+        assert abs(np.vdot(rest_ref.psi, sv.psi)) >= 1 - 1e-12
+        return outcome, det, rng.bit_generator.state
+
+    @pytest.mark.parametrize("basis", _READOUTS, ids=str)
+    def test_random_states_match_measure_then_contract(self, basis):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for seed in range(40):
+            n = int(rng.integers(1, 7))
+            outcome, det, _ = self._check(_random_dense(n, rng), int(rng.integers(n)), basis,
+                                          seed)
+            assert not det
+            outcomes.add(outcome)
+        assert outcomes == {1, -1}
+
+    @pytest.mark.parametrize("basis", _READOUTS, ids=str)
+    @pytest.mark.parametrize("outcome", [1, -1])
+    def test_deterministic_branches_draw_no_coin(self, basis, outcome):
+        rng = np.random.default_rng(23)
+        for q in range(3):
+            rest = _random_dense(2, rng).psi.reshape(2, 2)
+            psi = np.einsum("a,bc->abc", _eigvec(basis, outcome), rest)
+            sv = StateVector(3, np.moveaxis(psi, 0, q).reshape(-1))
+            fresh = np.random.default_rng(q).bit_generator.state
+            assert self._check(sv, q, basis, seed=q) == (outcome, True, fresh)
+
+    @pytest.mark.parametrize("basis", _READOUTS, ids=str)
+    def test_last_qubit_leaves_a_phase(self, basis):
+        sv = _random_dense(1, np.random.default_rng(5))
+        self._check(sv, 0, basis, seed=0)
+        assert sv.n == 0 and abs(abs(sv.psi[0]) - 1) < 1e-12
 
 
 class TestReconstruction:
