@@ -528,6 +528,7 @@ def cmd_survey(args) -> int:
     lx, ly = _parse_size(args.size)
     if args.pairs < 0:
         raise ConfigError("--pairs must be >= 0")
+    lattice = DonorLattice(lx, ly)  # refuses an oversized lattice before the dead draw
     dead = _parse_dead(args.dead)
     if args.dead_fraction:
         if not 0.0 <= args.dead_fraction <= 1.0:
@@ -536,7 +537,6 @@ def cmd_survey(args) -> int:
         n_dead = int(round(args.dead_fraction * lx * ly))
         chosen = rng.choice(lx * ly, size=n_dead, replace=False)
         dead |= {(int(s) // ly, int(s) % ly) for s in chosen}
-    lattice = DonorLattice(lx, ly)
     dm = DefectModel(dead=dead)
     steps = steps_from_config(args.protocol)
     report = dead_pixel_survey(lattice, dm, steps, seed=args.seed, n_pairs=args.pairs)

@@ -23,6 +23,22 @@ from sicluster.cliffords import Clifford1
 
 _AXIS_OF = {"X": 0, "Y": 1, "Z": 2}
 
+# Largest donor lattice or generated cluster, in sites.  A standard-protocol
+# build peaks at about 3.9 KB per site (1.39 GB at 600x600, measured on a
+# 2-core 8 GB machine), so 10^6 sites stay within about 3.9 GB, half of it.
+MAX_SITES = 10**6
+
+
+class SizeCapError(RuntimeError):
+    """Raised when a simulation would exceed a size cap."""
+
+
+def check_site_cap(n_sites: int) -> None:
+    """Refuse a lattice or cluster of more than MAX_SITES sites."""
+    if n_sites > MAX_SITES:
+        raise SizeCapError(f"{n_sites} sites is above the cap of {MAX_SITES}")
+
+
 # What a local complementation at v composes onto v's own vertex operator,
 # and onto the operator of each neighbor of v.
 _LC_SELF = cliffords.SQRT_MINUS_IX.inverse()
@@ -383,12 +399,14 @@ def _adj_to_edges(adj):
 
 def line_graph(n: int, start: int = 0) -> GraphState:
     """A 1-D cluster: vertices start..start+n-1 in a path."""
+    check_site_cap(n)
     verts = range(start, start + n)
     return GraphState(verts, [(v, v + 1) for v in range(start, start + n - 1)])
 
 
 def grid_graph(lx: int, ly: int) -> GraphState:
     """An lx-by-ly square-lattice cluster; vertex id = i * ly + j."""
+    check_site_cap(lx * ly)
     verts = range(lx * ly)
     edges = []
     for i in range(lx):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sicluster.graphsim import GraphSimulator
-from sicluster.graphstate import GraphState, MeasurementOutcomeRecord
+from sicluster.graphstate import GraphState, MeasurementOutcomeRecord, check_site_cap
 from sicluster.statevec import (
     MAX_QUBITS,
     SizeCapError,
@@ -154,6 +154,7 @@ class DonorLattice:
     def __init__(self, lx: int, ly: int, dead=(), populate_electrons: bool = True):
         if lx < 1 or ly < 1:
             raise ProtocolError("lattice dimensions must be >= 1")
+        check_site_cap(lx * ly)
         self.lx = lx
         self.ly = ly
         self.dead: set[tuple[int, int]] = set()

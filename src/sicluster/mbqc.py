@@ -87,7 +87,7 @@ class MeasurementPattern:
     corrections: dict[int, dict[str, frozenset]] = field(default_factory=dict)
 
     def validate(self, cluster: GraphState) -> None:
-        verts = set(cluster.vertices())
+        verts = cluster._adj
         for v in self.inputs + self.outputs:
             if v not in verts:
                 raise PatternError(f"pattern vertex {v} not in cluster")
@@ -202,7 +202,7 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
     an unmeasured non-output vertex entangled with the outputs.
     """
     pattern.validate(cluster)
-    for v in cluster.vertices():
+    for v in sorted(cluster.vertex_ops):
         if not cluster.op(v).is_identity():
             raise PatternError("execute_pattern needs a canonical cluster "
                                f"(vertex {v} carries {cluster.op(v).name})")
@@ -445,9 +445,9 @@ def carve_wire(cluster: GraphState, start: int, end: int,
     disconnects the endpoints.
     """
     forbidden = set(forbidden)
-    verts = set(cluster.vertices())
+    adj = cluster._adj
     for v in (start, end):
-        if v not in verts:
+        if v not in adj:
             raise PatternError(f"endpoint {v} not in cluster")
         if v in forbidden:
             raise NoPathError(f"endpoint {v} is forbidden")
@@ -456,7 +456,7 @@ def carve_wire(cluster: GraphState, start: int, end: int,
     while frontier and end not in parent:
         nxt = []
         for v in frontier:
-            for u in sorted(cluster.neighbors(v)):
+            for u in sorted(adj[v]):
                 if u in forbidden or u in parent:
                     continue
                 parent[u] = v
@@ -469,8 +469,7 @@ def carve_wire(cluster: GraphState, start: int, end: int,
         path.append(parent[path[-1]])
     path.reverse()
     on_path = set(path)
-    trim = sorted({u for v in path for u in cluster.neighbors(v)}
-                  - on_path - forbidden)
+    trim = sorted({u for v in path for u in adj[v]} - on_path - forbidden)
     prefix = [MeasurementStep(u, basis="Z") for u in trim]
     return prefix, path
 

@@ -21,16 +21,12 @@ import numpy as np
 
 from sicluster import _kernels as kern
 from sicluster import cliffords
-from sicluster.graphstate import GraphState
+from sicluster.graphstate import GraphState, SizeCapError
 from sicluster.rng import draw_sign_bit
 
 # Largest tableau allocation, in bytes (see tableau_bytes): 23 170 qubits.
 # A 100x100-site protocol (2 * 10^4 qubits) needs 1.6 GB.
 MAX_TABLEAU_BYTES = 2**31
-
-
-class SizeCapError(RuntimeError):
-    """Raised when a simulation would exceed a size cap."""
 
 
 def tableau_bytes(n: int) -> int:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -313,6 +314,65 @@ class TestSurvey:
                      "--seed", "9", "--out", str(path)])
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    # Full reports pinned byte for byte; the two fractional rates check the
+    # carve-pair accounting, the 60x60 runs the labelling at size.
+    @pytest.mark.parametrize("args, report", [
+        ("--size 3x3 --dead-fraction 0.4 --dead 0,0",
+         '{"carve_pairs_tested": 100,"carve_success_rate": 0.54,"components": 2,'
+         '"dead": 5,"largest_component": 3,"n_sites": 9,"orphaned": 1,'
+         '"protocol": "standard","seed": 0,"size": "3x3","vertices_lost": 6}'),
+        ("--size 30x30 --dead-fraction 0.15 --seed 4",
+         '{"carve_pairs_tested": 100,"carve_success_rate": 0.81,"components": 41,'
+         '"dead": 135,"largest_component": 704,"n_sites": 900,"orphaned": 32,'
+         '"protocol": "standard","seed": 4,"size": "30x30","vertices_lost": 167}'),
+        ("--size 60x60 --dead-fraction 0.02",
+         '{"carve_pairs_tested": 100,"carve_success_rate": 1.0,"components": 7,'
+         '"dead": 72,"largest_component": 3522,"n_sites": 3600,"orphaned": 6,'
+         '"protocol": "standard","seed": 0,"size": "60x60","vertices_lost": 78}'),
+        ("--size 60x60 --dead-fraction 0.02 --protocol square --seed 3",
+         '{"carve_pairs_tested": 100,"carve_success_rate": 1.0,"components": 3,'
+         '"dead": 72,"largest_component": 3526,"n_sites": 3600,"orphaned": 2,'
+         '"protocol": "square","seed": 3,"size": "60x60","vertices_lost": 74}'),
+    ], ids=["3x3-rate-0.54", "30x30-rate-0.81", "60x60-standard", "60x60-square"])
+    def test_pinned_report(self, tmp_path, args, report):
+        out = tmp_path / "s.json"
+        assert run_cli(["survey", *args.split(), "--out", str(out)]) == 0
+        assert out.read_text() == report + "\n"
+
+
+class TestSiteCap:
+    def test_oversized_lattices_refused_before_allocating(self, tmp_path):
+        # The child caps its own address space at 1.5 GB, so a missing check
+        # ends in a MemoryError there rather than exhausting the host.
+        script = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+from sicluster.cli import main
+for argv in (["build-cluster", "--size", "20000x20000", "--out", {str(tmp_path)!r}],
+             ["survey", "--size", "20000x20000"],
+             ["survey", "--size", "20000x20000", "--dead-fraction", "0.1"],
+             ["mbqc", "--cluster", "grid:20000x20000", "--builtin", "wire:3"],
+             ["mbqc", "--cluster", "line:400000000", "--builtin", "wire:3"]):
+    print(main(argv))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.stdout.split() == [str(EXIT_RESOURCE)] * 5, proc.stderr
+        assert proc.stderr.count("resource cap") == 5
+        assert not list(tmp_path.iterdir())
+
+    def test_cap_is_inclusive(self):
+        from sicluster.graphstate import MAX_SITES, SizeCapError, check_site_cap, line_graph
+
+        check_site_cap(MAX_SITES)
+        with pytest.raises(SizeCapError):
+            check_site_cap(MAX_SITES + 1)
+        with pytest.raises(SizeCapError):
+            line_graph(MAX_SITES + 1)
+        with pytest.raises(SizeCapError):
+            DonorLattice(1, MAX_SITES + 1)
 
 
 class TestHelpAndEntrypoint:

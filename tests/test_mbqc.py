@@ -134,6 +134,15 @@ class TestExecution:
         with pytest.raises(PatternError):
             execute_pattern(g, pat, rng=np.random.default_rng(0))
 
+    def test_vertex_op_refusal_names_lowest_vertex(self):
+        from sicluster import cliffords
+
+        g = GraphState(range(4), [(0, 1), (1, 2), (2, 3)],
+                       vertex_ops={3: cliffords.S, 2: cliffords.H})
+        pat = MeasurementPattern([0], [1], [MeasurementStep(0, basis="X")])
+        with pytest.raises(PatternError, match="vertex 2 carries"):
+            execute_pattern(g, pat, rng=np.random.default_rng(0))
+
 
 @st.composite
 def pauli_patterns(draw):
@@ -264,6 +273,16 @@ class TestCarving:
             except NoPathError:
                 path = None
             assert _bfs_dist(g, a, b, dead) == (len(path) - 1 if path else None)
+
+    @pytest.mark.parametrize("start, end, forbidden, path, trim", [
+        (0, 19, set(), [0, 1, 2, 3, 4, 9, 14, 19], [5, 6, 7, 8, 13, 18]),
+        (0, 19, {6, 12}, [0, 1, 2, 3, 4, 9, 14, 19], [5, 7, 8, 13, 18]),
+        (3, 15, {7, 8, 11}, [3, 2, 1, 0, 5, 10, 15], [4, 6, 16]),
+    ])
+    def test_lowest_id_tie_breaking_and_trim(self, start, end, forbidden, path, trim):
+        prefix, got = carve_wire(grid_graph(4, 5), start, end, forbidden)
+        assert got == path
+        assert [st.vertex for st in prefix] == trim
 
     def test_fully_blocked(self):
         g = grid_graph(3, 3)

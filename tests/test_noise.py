@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sicluster.lattice import DonorLattice, run_protocol, standard_protocol
+from sicluster.lattice import (
+    CANONICAL_PROTOCOLS,
+    DonorLattice,
+    predicted_graph,
+    run_protocol,
+    standard_protocol,
+)
+from sicluster.mbqc import NoPathError, carve_wire
 from sicluster.noise import (
     DefectModel,
     TimingModel,
@@ -180,3 +189,42 @@ class TestSurvey:
         assert rep["largest_component"] == 379
         assert rep["components"] == 2
         assert rep["carve_success_rate"] == pytest.approx(1.0)
+
+
+@st.composite
+def defective_lattices(draw):
+    """A lattice of at most 8x8 with 0-60 % of its sites dead, the dead set
+    split between the lattice and the defect model."""
+    lx, ly = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    sites = [(i, j) for i in range(lx) for j in range(ly)]
+    flags = draw(st.lists(st.integers(0, 9), min_size=len(sites), max_size=len(sites)))
+    threshold = draw(st.integers(0, 6))
+    dead = [site for site, f in zip(sites, flags) if f < threshold]
+    return lx, ly, set(dead[::2]), set(dead[1::2])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=defective_lattices(), protocol=st.sampled_from(sorted(CANONICAL_PROTOCOLS)),
+       seed=st.integers(0, 2**16), n_pairs=st.integers(0, 20))
+def test_survey_rate_is_the_carve_rate(case, protocol, seed, n_pairs):
+    lx, ly, lattice_dead, model_dead = case
+    steps = CANONICAL_PROTOCOLS[protocol]()
+    rep = dead_pixel_survey(DonorLattice(lx, ly, dead=lattice_dead),
+                            DefectModel(dead=model_dead), steps, seed=seed, n_pairs=n_pairs)
+
+    # The survey's pairs, drawn as it draws them, each sent to carve_wire.
+    lat = DonorLattice(lx, ly, dead=lattice_dead | model_dead)
+    graph = predicted_graph(lat, steps)
+    dead_ids = {lat.site_id(i, j) for i, j in lat.dead}
+    live = np.array([v for v in range(lat.n_sites) if v not in dead_ids])
+    rng = substream(seed, "survey-pairs")
+    carved = []
+    for _ in range(n_pairs if len(live) >= 2 else 0):
+        a, b = rng.choice(live, 2, replace=False)
+        try:
+            carve_wire(graph, int(a), int(b), forbidden=dead_ids)
+            carved.append(True)
+        except NoPathError:
+            carved.append(False)
+    assert rep["carve_pairs_tested"] == len(carved)
+    assert rep["carve_success_rate"] == (sum(carved) / len(carved) if carved else None)
