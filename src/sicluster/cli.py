@@ -372,8 +372,8 @@ def _parse_omega_list(text: str) -> list[float | None]:
                 mhz = float(part)
             except ValueError as exc:
                 raise ConfigError(f"bad omega1 value {part!r} (MHz or 'inst')") from exc
-            if mhz <= 0:
-                raise ConfigError("omega1 must be positive")
+            if not np.isfinite(mhz) or mhz <= 0:
+                raise ConfigError(f"omega1 must be a positive finite number, got {part!r}")
             vals.append(TWO_PI * mhz * 1e6)
     return vals
 
@@ -528,7 +528,7 @@ def cmd_survey(args) -> int:
     lx, ly = _parse_size(args.size)
     if args.pairs < 0:
         raise ConfigError("--pairs must be >= 0")
-    lattice = DonorLattice(lx, ly)  # refuses an oversized lattice before the dead draw
+    graphstate.check_site_cap(lx * ly)  # refuse an oversized lattice before the dead draw
     dead = _parse_dead(args.dead)
     if args.dead_fraction:
         if not 0.0 <= args.dead_fraction <= 1.0:
@@ -537,9 +537,9 @@ def cmd_survey(args) -> int:
         n_dead = int(round(args.dead_fraction * lx * ly))
         chosen = rng.choice(lx * ly, size=n_dead, replace=False)
         dead |= {(int(s) // ly, int(s) % ly) for s in chosen}
-    dm = DefectModel(dead=dead)
     steps = steps_from_config(args.protocol)
-    report = dead_pixel_survey(lattice, dm, steps, seed=args.seed, n_pairs=args.pairs)
+    report = dead_pixel_survey(DonorLattice(lx, ly, dead=dead), DefectModel(), steps,
+                               seed=args.seed, n_pairs=args.pairs)
     report["size"] = f"{lx}x{ly}"
     report["protocol"] = args.protocol
     _write(args.out, _dump_json(report))

@@ -157,6 +157,7 @@ class DonorLattice:
         check_site_cap(lx * ly)
         self.lx = lx
         self.ly = ly
+        self.populate_electrons = populate_electrons
         self.dead: set[tuple[int, int]] = set()
         for i, j in dead:
             if not (0 <= i < lx and 0 <= j < ly):

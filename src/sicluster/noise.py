@@ -235,11 +235,13 @@ def dead_pixel_survey(lattice: DonorLattice, dm: DefectModel, steps,
     ``n_pairs`` seeded random live endpoint pairs that lie in one live
     component, which are exactly the pairs ``carve_wire`` connects.
     """
-    dead = set(lattice.dead) | set(dm.dead)
-    lat = DonorLattice(lattice.lx, lattice.ly, dead=dead)
+    if dm.dead <= lattice.dead and lattice.populate_electrons:
+        lat = lattice  # the defect model kills no further site
+    else:
+        lat = DonorLattice(lattice.lx, lattice.ly, dead=lattice.dead | dm.dead)
     graph = predicted_graph(lat, steps)
     adj = graph._adj
-    dead_ids = {lat.site_id(i, j) for (i, j) in dead}
+    dead_ids = {lat.site_id(i, j) for (i, j) in lat.dead}
     live = [v for v in graph.vertices() if v not in dead_ids]
 
     label: dict[int, int] = {}  # live vertex -> index of its component

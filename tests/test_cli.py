@@ -147,6 +147,26 @@ class TestVerifyProtocol:
         assert rc == EXIT_CHECK_FAILED
 
 
+# `pulse --theta pi,0.5pi,1.7 --omega1 inst,5,25,400 --trend`, recorded from the
+# per-point sweep before it was batched.
+PINNED_SWEEP_CSV = (
+    "theta,omega1_hz,fidelity,duration_s\n"
+    "3.141592653589793,inf,0.9999999999999998,0.0\n"
+    "3.141592653589793,5000000.0,0.9994655299121175,2e-07\n"
+    "3.141592653589793,25000000.000000004,0.9853403777353122,3.9999999999999994e-08\n"
+    "3.141592653589793,400000000.00000006,0.8362636084010697,2.4999999999999996e-09\n"
+    "1.5707963267948966,inf,0.9999999999999998,0.0\n"
+    "1.5707963267948966,5000000.0,0.9996994890569695,1.5e-07\n"
+    "1.5707963267948966,25000000.000000004,0.8629210769802929,3e-08\n"
+    "1.5707963267948966,400000000.00000006,0.8001326065410783,1.875e-09\n"
+    "1.7,inf,0.9999999999999998,0.0\n"
+    "1.7,5000000.0,0.7173520822146762,1.541126806512444e-07\n"
+    "1.7,25000000.000000004,0.9324506902482192,3.082253613024888e-08\n"
+    "1.7,400000000.00000006,0.7808121552413305,1.926408508140555e-09\n"
+    "# fidelity does not improve monotonically toward weak drive on this grid\n"
+)
+
+
 class TestPulse:
     def test_default_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -165,6 +185,27 @@ class TestPulse:
 
     def test_bad_theta(self):
         assert run_cli(["pulse", "--theta", "banana", "--omega1", "25"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("omega", ["nan", "1e999", "-inf", "25,nan", "0"])
+    def test_non_finite_omega_is_a_config_error(self, omega, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["pulse", "--theta", "pi", "--omega1", omega,
+                        "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keyword", ["inst", "instantaneous", "inf"])
+    def test_instantaneous_keywords(self, keyword, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["pulse", "--theta", "pi", "--omega1", keyword, "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].split(",")[1:] == ["inf", "0.9999999999999998",
+                                                                 "0.0"]
+
+    def test_pinned_sweep_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["pulse", "--theta", "pi,0.5pi,1.7", "--omega1", "inst,5,25,400",
+                        "--trend", "--out", str(out)]) == 0
+        assert out.read_text() == PINNED_SWEEP_CSV
+
 
 
 class TestMbqc:

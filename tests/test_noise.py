@@ -190,6 +190,24 @@ class TestSurvey:
         assert rep["components"] == 2
         assert rep["carve_success_rate"] == pytest.approx(1.0)
 
+    def test_report_independent_of_where_dead_sites_live(self):
+        # The survey reuses the caller's lattice when the defect model adds
+        # no dead site, and builds the union lattice otherwise.
+        dead = {(0, 1), (2, 2), (3, 0), (4, 4)}
+        steps = standard_protocol()
+        reports = [dead_pixel_survey(DonorLattice(5, 5, dead=on_lattice),
+                                     DefectModel(dead=in_model), steps, seed=2, n_pairs=30)
+                   for on_lattice, in_model in [(dead, set()), (dead, {(2, 2)}),
+                                                (set(), dead), ({(0, 1)}, dead)]]
+        assert all(rep == reports[0] for rep in reports)
+
+    def test_lattice_without_electrons_is_not_reused(self):
+        steps = standard_protocol()
+        want = dead_pixel_survey(DonorLattice(4, 4), DefectModel(), steps, seed=1)
+        got = dead_pixel_survey(DonorLattice(4, 4, populate_electrons=False), DefectModel(),
+                                steps, seed=1)
+        assert got == want and want["largest_component"] > 1
+
 
 @st.composite
 def defective_lattices(draw):
