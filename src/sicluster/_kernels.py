@@ -1,12 +1,11 @@
-"""Kernels of the packed graph reduction (``tableau.graph_from_stab_matrix``).
+"""Row products of the stabilizer tableau and the RREF of the graph reduction.
 
-``xm``, ``zm`` are ``(k, W)`` uint64 arrays, one row per stabilizer generator,
-with column ``c`` at bit ``c & 63`` of word ``c >> 6``; ``sg`` holds the sign
-bits and ``rlo``, ``rhi`` each row's column window, a superset of its
-support.  The windows keep the elimination of banded (lattice) matrices at
-O(k * bandwidth) row visits.  The reduction reaches its kernel through
-:func:`active_lane`, so a caller can swap in a substitute object exposing
-the same static methods (e.g. to time each call).
+Rows are bool arrays ``x`` and ``z`` with one column per qubit and signs
+``r``, in the layout of ``sicluster.tableau``.  :func:`_rowsum` is the one
+sign-tracked row product; measurement, restriction and the graph reduction
+(``tableau.graph_from_stab_matrix``) all use it.  The reduction reaches its
+RREF through :func:`active_lane`, so a caller can swap in a substitute
+object exposing the same static methods (e.g. to time each call).
 """
 
 from __future__ import annotations
@@ -14,71 +13,56 @@ from __future__ import annotations
 import numpy as np
 
 
-def popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
+def _phase(ax, az, bx, bz):
+    """Exponent of i picked up by the site-wise products a * b, summed over
+    the last axis.  With Y = iXZ a letter is i^(xz) X^x Z^z, so a * b is
+    i^(xa za + xb zb - xc zc) (-1)^(za xb) times the letter c = a ^ b."""
+    return (np.count_nonzero(ax & az, axis=-1) + np.count_nonzero(bx & bz, axis=-1)
+            - np.count_nonzero((ax ^ bx) & (az ^ bz), axis=-1)
+            + 2 * np.count_nonzero(az & bx, axis=-1))
 
 
-def _np_row_mult(xm, zm, sg, rlo, rhi, dst, src):
-    """Row dst := row src * row dst with exact sign tracking."""
-    l = min(rlo[dst], rlo[src])
-    h = max(rhi[dst], rhi[src])
-    wl, wh = l >> 6, ((h + 63) >> 6)
-    xa, za = xm[src, wl:wh], zm[src, wl:wh]
-    xb, zb = xm[dst, wl:wh], zm[dst, wl:wh]
-    # Per-site phase g in {0,1,3}: low bit = anticommute, high bit marks g=3.
-    gl = (xa & zb) ^ (za & xb)
-    gh = ((xa & ~za & ~xb & zb) | (~xa & za & xb & zb) | (xa & za & xb & ~zb))
-    exp = (popcount(gl) + 2 * popcount(gh)) & 3
-    if exp & 1:
-        raise AssertionError("row product of commuting rows has odd phase")
-    xm[dst, wl:wh] = xb ^ xa
-    zm[dst, wl:wh] = zb ^ za
-    sg[dst] ^= sg[src] ^ (exp >> 1)
-    rlo[dst], rhi[dst] = l, h
+def _rowsum(x, z, r, rows, p):
+    """Rows ``rows`` := row p times row (AG's rowsum, all rows at once).
+
+    Signs are exact for rows that commute with row p; no sign of a
+    destabilizer is ever read.  Returns the phase exponents of the products,
+    which are even exactly for the commuting rows."""
+    g = _phase(x[p], z[p], x[rows], z[rows])
+    r[rows] = (g + 2 * (int(r[p]) + r[rows])) & 2 != 0
+    x[rows] ^= x[p]
+    z[rows] ^= z[p]
+    return g
 
 
-def _np_rref_x_block(xm, zm, sg, rlo, rhi):
-    """Reduced row echelon form of the X block via sign-tracked row ops.
+def _rref_x_block(x, z, r):
+    """Reduced row echelon form of the X block via sign-tracked row products.
 
-    Rows enter an active working set when the column sweep reaches their
-    window and retire once it passes, so banded matrices reduce in
-    O(n * bandwidth) row visits.  Returns (pivot_row_of_col, free_cols).
+    The rows are commuting stabilizers, reduced in place.  Each pivot is the
+    first unused row with the column; a column no other row has costs no
+    product.  Returns (pivot_row_of_col, free_cols).
     """
-    k, _ = xm.shape
-    used = np.zeros(k, bool)
+    k = x.shape[1]
+    used = np.zeros(x.shape[0], bool)
     pivrow = np.full(k, -1, np.int32)
     free_cols = []
-    order = np.argsort(rlo, kind="stable")
-    ptr = 0
-    active: list[int] = []
     for col in range(k):
-        while ptr < k and rlo[order[ptr]] <= col:
-            active.append(int(order[ptr]))
-            ptr += 1
-        w, bit = col >> 6, np.uint64(1) << np.uint64(col & 63)
-        alive = []
-        piv = -1
-        for r in active:
-            if rhi[r] <= col:
-                continue
-            alive.append(r)
-            if piv < 0 and not used[r] and rlo[r] <= col and (xm[r, w] & bit):
-                piv = r
-        active = alive
-        if piv < 0:
+        hits = np.flatnonzero(x[:, col])
+        cand = hits[~used[hits]]
+        if not cand.size:
             free_cols.append(col)
             continue
-        used[piv] = True
-        pivrow[col] = piv
-        for r in active:
-            if r != piv and rlo[r] <= col and (xm[r, w] & bit):
-                _np_row_mult(xm, zm, sg, rlo, rhi, r, piv)
+        p = cand[0]
+        used[p] = True
+        pivrow[col] = p
+        if hits.size > 1 and np.any(_rowsum(x, z, r, hits[hits != p], p) & 1):
+            raise AssertionError("row product of commuting rows has odd phase")
     return pivrow, np.array(free_cols, np.int32)
 
 
 class _NumpyLane:
     name = "numpy"
-    rref_x_block = staticmethod(_np_rref_x_block)
+    rref_x_block = staticmethod(_rref_x_block)
 
 
 _ACTIVE = _NumpyLane()

@@ -208,29 +208,20 @@ class GraphSimulator(GraphState):
                 if el is not None:
                     out_ops[i] = el
             return adj, out_ops
-        return graph_from_stab_matrix(*self._pack_generators(keep, pos, ops))
+        return graph_from_stab_matrix(*self._generators(keep, pos, ops))
 
-    def _pack_generators(self, keep, pos, ops):
-        """Kept generators U K_v U^dag, packed as graph_from_stab_matrix takes them."""
+    def _generators(self, keep, pos, ops):
+        """Kept generators U K_v U^dag as the bool (x, z, r) rows that
+        graph_from_stab_matrix takes."""
         k = len(keep)
-        words = max(1, (k + 63) >> 6)
-        xm = np.zeros((k, words), np.uint64)
-        zm = np.zeros((k, words), np.uint64)
-        sg = np.zeros(k, np.uint8)
-        rlo = np.zeros(k, np.int32)
-        rhi = np.zeros(k, np.int32)
-        one = np.uint64(1)
+        x = np.zeros((k, k), bool)
+        z = np.zeros((k, k), bool)
+        r = np.zeros(k, bool)
         for i, v in enumerate(keep):
             letters = [(i, *ops[i].conj_pauli(_X))]
             letters += [(pos[u], *self.op(u).conj_pauli(_Z)) for u in self._adj[v]]
-            cols = []
             for c, axis, sign in letters:
-                bit = one << np.uint64(c & 63)
-                if axis != _Z:
-                    xm[i, c >> 6] |= bit
-                if axis != _X:
-                    zm[i, c >> 6] |= bit
-                sg[i] ^= sign
-                cols.append(c)
-            rlo[i], rhi[i] = min(cols), max(cols) + 1
-        return xm, zm, sg, rlo, rhi
+                x[i, c] = axis != _Z
+                z[i, c] = axis != _X
+                r[i] ^= sign
+        return x, z, r

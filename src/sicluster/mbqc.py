@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class MeasurementStep:
             raise PatternError("step needs exactly one of basis/angle")
         if self.basis is not None and self.basis not in ("X", "Y", "Z"):
             raise PatternError(f"bad basis {self.basis!r}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise PatternError(f"angle must be finite, got {self.angle!r}")
         if self.basis == "Z" and (self.s_adapt or self.t_adapt):
             raise PatternError("Z-basis steps take no adaptation sets")
         object.__setattr__(self, "s_adapt", frozenset(self.s_adapt))
@@ -518,6 +521,8 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     target = np.asarray(target, complex)
     if target.shape != (dim, dim):
         raise PatternError(f"target must be {dim}x{dim}")
+    if not np.all(np.isfinite(target)):
+        raise PatternError("target must be finite")
     labels = list(_BASIS_STATES)
     per_input: dict[str, float] = {}
     worst = 0.0

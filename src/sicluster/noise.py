@@ -21,11 +21,15 @@ import numpy as np
 from sicluster.lattice import (
     DonorLattice,
     RunResult,
-    predicted_graph,
+    predicted_edge_set,
     run_protocol,
 )
 from sicluster.mbqc import carve_wire  # noqa: F401  (the benchmark tracer patches it here)
 from sicluster.rng import substream
+
+
+def _finite_positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 @dataclass
@@ -53,8 +57,8 @@ class DefectModel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         for name in ("t2n", "t1e"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive")
 
     @classmethod
     def from_polarizations(cls, p_electron: float = 1.0, p_nuclear: float = 1.0,
@@ -83,8 +87,8 @@ class TimingModel:
 
     def __post_init__(self):
         for name in ("shuttle_rate", "cphase_total", "meas_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive")
         if self.mode not in ("sequential", "parallel"):
             raise ValueError(f"mode must be sequential or parallel, got {self.mode!r}")
         if self.parallel_shift_count < 1:
@@ -118,8 +122,8 @@ def preparation_time(n_qubits: int, tm: TimingModel, mode: str | None = None,
 
 def figure_of_merit(t2n: float, meas_rate: float) -> float:
     """Coherence time over effective gate (measurement) time: T2n * rate."""
-    if t2n <= 0 or meas_rate <= 0:
-        raise ValueError("figure_of_merit needs positive inputs")
+    if not (_finite_positive(t2n) and _finite_positive(meas_rate)):
+        raise ValueError("figure_of_merit needs finite positive inputs")
     return t2n * meas_rate
 
 
@@ -239,10 +243,12 @@ def dead_pixel_survey(lattice: DonorLattice, dm: DefectModel, steps,
         lat = lattice  # the defect model kills no further site
     else:
         lat = DonorLattice(lattice.lx, lattice.ly, dead=lattice.dead | dm.dead)
-    graph = predicted_graph(lat, steps)
-    adj = graph._adj
+    adj: dict[int, list[int]] = {v: [] for v in range(lat.n_sites)}
+    for u, v in predicted_edge_set(lat, steps):
+        adj[u].append(v)
+        adj[v].append(u)
     dead_ids = {lat.site_id(i, j) for (i, j) in lat.dead}
-    live = [v for v in graph.vertices() if v not in dead_ids]
+    live = [v for v in adj if v not in dead_ids]
 
     label: dict[int, int] = {}  # live vertex -> index of its component
     sizes: list[int] = []

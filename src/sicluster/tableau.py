@@ -19,8 +19,8 @@ import enum
 
 import numpy as np
 
-from sicluster import _kernels as kern
 from sicluster import cliffords
+from sicluster._kernels import _phase, _rowsum, active_lane
 from sicluster.graphstate import GraphState, SizeCapError
 from sicluster.rng import draw_sign_bit
 
@@ -128,26 +128,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.to_label()!r})"
-
-
-def _phase(ax, az, bx, bz):
-    """Exponent of i picked up by the site-wise products a * b, summed over
-    the last axis.  With Y = iXZ a letter is i^(xz) X^x Z^z, so a * b is
-    i^(xa za + xb zb - xc zc) (-1)^(za xb) times the letter c = a ^ b."""
-    return (np.count_nonzero(ax & az, axis=-1) + np.count_nonzero(bx & bz, axis=-1)
-            - np.count_nonzero((ax ^ bx) & (az ^ bz), axis=-1)
-            + 2 * np.count_nonzero(az & bx, axis=-1))
-
-
-def _rowsum(x, z, r, rows, p) -> None:
-    """Rows ``rows`` := row p times row (AG's rowsum, all rows at once).
-
-    Signs are exact for rows that commute with row p; no sign of a
-    destabilizer is ever read."""
-    g = _phase(x[p], z[p], x[rows], z[rows])
-    r[rows] = (g + 2 * (int(r[p]) + r[rows])) & 2 != 0
-    x[rows] ^= x[p]
-    z[rows] ^= z[p]
 
 
 def _letter_images(el: cliffords.Clifford1) -> np.ndarray:
@@ -329,64 +309,44 @@ class StabilizerTableau:
         return GraphState(range(self.n), edges, ops)
 
 
-def graph_from_stab_matrix(xm, zm, sg, rlo, rhi) -> tuple[dict, dict]:
-    """Reduce a packed stabilizer matrix to graph form.
+def graph_from_stab_matrix(x, z, r) -> tuple[dict, dict]:
+    """Reduce k commuting stabilizer rows to graph form.
 
-    Row-reduces the X block to the identity (inserting Hadamards on the rank
-    defect), strips the Z diagonal with S corrections and the signs with Z
-    corrections.  Returns (adjacency dict, vertex_ops dict); the represented
-    state equals (prod_v ops[v]) |adjacency>.
+    ``x`` and ``z`` are the (k, k) bool X and Z blocks and ``r`` the bool
+    signs; all three are reduced in place.  Row-reduces the X block to the
+    identity (inserting Hadamards on the rank defect), strips the Z diagonal
+    with S corrections and the signs with Z corrections.  Returns (adjacency
+    dict, vertex_ops dict); the represented state equals
+    (prod_v ops[v]) |adjacency>.
     """
-    k = xm.shape[0]
+    k = x.shape[0]
     if k == 0:
         return {}, {}
-    lane = kern.active_lane()
-    sg = sg.astype(np.uint8)
-    pivrow, free_cols = lane.rref_x_block(xm, zm, sg, rlo, rhi)
-    h_cols = set()
-    if free_cols.size:
-        for col in free_cols:
-            col = int(col)
-            w, b = col >> 6, np.uint64(col & 63)
-            xcol = (xm[:, w] >> b) & np.uint64(1)
-            zcol = (zm[:, w] >> b) & np.uint64(1)
-            sg ^= (xcol & zcol).astype(np.uint8)
-            diff = (xcol ^ zcol) << b
-            xm[:, w] ^= diff
-            zm[:, w] ^= diff
-            h_cols.add(col)
-        pivrow, free2 = lane.rref_x_block(xm, zm, sg, rlo, rhi)
+    lane = active_lane()
+    pivrow, h_cols = lane.rref_x_block(x, z, r)
+    if h_cols.size:
+        r ^= np.logical_xor.reduce(x[:, h_cols] & z[:, h_cols], axis=1)
+        x[:, h_cols], z[:, h_cols] = z[:, h_cols], x[:, h_cols]
+        pivrow, free2 = lane.rref_x_block(x, z, r)
         if free2.size:
             raise ValueError("X block still rank-deficient after Hadamard pass "
                              "(stabilizer rows are dependent)")
     if np.any(pivrow < 0):
         raise ValueError("stabilizer matrix is rank-deficient")
 
-    adj: dict[int, set[int]] = {v: set() for v in range(k)}
-    s_cols, z_cols = set(), set()
-    one = np.uint64(1)
-    for v in range(k):
-        r = int(pivrow[v])
-        w, b = v >> 6, np.uint64(v & 63)
-        if (zm[r, w] >> b) & one:
-            zm[r, w] ^= one << b
-            sg[r] ^= 1
-            s_cols.add(v)
-        if sg[r]:
-            z_cols.add(v)
-            sg[r] = 0
-        words = np.flatnonzero(zm[r])
-        hit = np.flatnonzero(np.unpackbits(zm[r, words].astype("<u8").view(np.uint8),
-                                           bitorder="little"))
-        adj[v] = set((words[hit >> 6] << 6 | hit & 63).tolist())
-    for v in range(k):
-        for u in adj[v]:
-            if v not in adj[u] or u == v:
-                raise AssertionError("extracted adjacency is not a simple symmetric graph")
+    zg = z[pivrow]
+    s_cols = zg.diagonal().copy()
+    np.fill_diagonal(zg, False)
+    z_cols = r[pivrow] ^ s_cols
+    if not np.array_equal(zg, zg.T):
+        raise AssertionError("extracted adjacency is not a simple symmetric graph")
+    adj = {v: set(np.flatnonzero(row).tolist()) for v, row in enumerate(zg)}
 
+    h = np.zeros(k, bool)
+    h[h_cols] = True
     ops: dict[int, cliffords.Clifford1] = {}
     for v in range(k):
-        el = REDUCTION_OPS[(v in h_cols, v in s_cols, v in z_cols)]
+        el = REDUCTION_OPS[(bool(h[v]), bool(s_cols[v]), bool(z_cols[v]))]
         if el is not None:
             ops[v] = el
     return adj, ops
@@ -435,19 +395,7 @@ def restricted_stab_graph(t: StabilizerTableau, keep_cols: list[int]) -> tuple[d
             f"cannot restrict to {k} qubits: found {rows.size} stabilizers on them "
             "(the kept qubits are entangled with dropped ones)")
     sub = np.ix_(rows, np.asarray(keep_cols, np.int64))
-    x, z = x[sub], z[sub]
-
-    def pack(bits):  # column c at bit c & 63 of word c >> 6
-        out = np.zeros((k, max(1, (k + 63) >> 6) * 8), np.uint8)
-        out[:, :(k + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-        return out.view("<u8").astype(np.uint64)
-
-    # Tight column windows [rlo, rhi) keep the packed reduction banded.
-    cols = np.arange(k, dtype=np.int32)
-    support = x | z
-    rlo = np.where(support, cols, k).min(axis=1, initial=k).astype(np.int32)
-    rhi = np.where(support, cols + 1, 0).max(axis=1, initial=0).astype(np.int32)
-    return graph_from_stab_matrix(pack(x), pack(z), r[rows].astype(np.uint8), rlo, rhi)
+    return graph_from_stab_matrix(x[sub], z[sub], r[rows])
 
 
 def new_plus_state(n: int) -> StabilizerTableau:

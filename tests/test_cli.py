@@ -254,6 +254,20 @@ class TestMbqc:
         assert run_cli(["mbqc", "--cluster", "line:3",
                         "--pattern", str(pf)]) == EXIT_CONFIG
 
+    def test_non_finite_builtin_angle_is_a_config_error(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = run_cli(["mbqc", "--cluster", "line:5", "--builtin", "rotation:nan,0,0",
+                      "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_nan_angle_in_pattern_file_is_a_config_error(self, tmp_path):
+        pf = tmp_path / "pattern.json"
+        pf.write_text('{"inputs": [0], "outputs": [2], "corrections": {}, "steps": '
+                      '[{"v": 0, "angle": NaN}, {"v": 1, "basis": "X"}]}')
+        assert run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf),
+                        "--target", "identity", "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+
     def test_carve_success(self, tmp_path):
         out = tmp_path / "r.json"
         rc = run_cli(["mbqc", "--cluster", "grid:3x3", "--carve", "0:6",
@@ -327,7 +341,9 @@ class TestTiming:
         assert "100000.0" in lines[-1]
 
     @pytest.mark.parametrize("bad", [["--t2n", "0"], ["--shuttle-rate", "0"],
-                                     ["--n", "0"]])
+                                     ["--n", "0"], ["--shuttle-rate", "nan"],
+                                     ["--t2n", "inf"], ["--meas-rate", "inf"],
+                                     ["--cphase-total", "nan"]])
     def test_bad_model_parameters_are_config_errors(self, tmp_path, bad):
         assert run_cli(["timing", *bad, "--out", str(tmp_path / "t.csv")]) == EXIT_CONFIG
 

@@ -128,7 +128,7 @@ def test_measured_vertex_stays_isolated_eigenstate(basis, seed):
 
 def test_read_off_matches_packed_reduction():
     # With Z-axis-preserving VOPs the per-vertex read-off must equal the
-    # packed reduction it short-cuts.
+    # general reduction it short-cuts.
     rng = np.random.default_rng(4)
     diagonal = ["S", "SDG", "Z", "X", "Y"]
     for _ in range(20):
@@ -139,9 +139,9 @@ def test_read_off_matches_packed_reduction():
             sim.gate(diagonal[int(rng.integers(5))], int(rng.integers(6)))
         keep = list(range(6))
         assert all(op.z_axis == 2 for op in sim.vertex_ops.values())
-        packed = graph_from_stab_matrix(*sim._pack_generators(
+        reduced = graph_from_stab_matrix(*sim._generators(
             keep, {v: v for v in keep}, [sim.op(v) for v in keep]))
-        assert sim.restricted_graph(keep) == packed
+        assert sim.restricted_graph(keep) == reduced
 
 
 def test_restriction_rejects_entangled_dropped_qubit():

@@ -1,34 +1,42 @@
-"""The windowed packed RREF of the graph reduction against plain GF(2) elimination."""
+"""The sign-tracked RREF of the graph reduction against plain GF(2) elimination."""
 
 import numpy as np
 import pytest
 
 import sicluster._kernels as kern
+from sicluster.tableau import graph_from_stab_matrix
 from sicluster.statevec import gf2_rref
-
-
-def _pack(bits):
-    out = np.zeros((bits.shape[0], 8 * ((bits.shape[1] + 63) >> 6)), np.uint8)
-    out[:, :(bits.shape[1] + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view("<u8").astype(np.uint64)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_rref_x_block_matches_gf2_rref(seed):
     # Banded random X blocks; the Z parts stay empty, so every row product
-    # has a real phase.  The windows are the rows' exact spans.
+    # has a real phase.
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 80))
     band = int(rng.integers(1, k + 1))
     cols = np.arange(k)
     x = (rng.random((k, k)) < 0.3) & (np.abs(cols[:, None] - cols[None, :]) < band)
-    rlo = np.where(x, cols, k).min(axis=1).astype(np.int32)
-    rhi = np.where(x, cols + 1, 0).max(axis=1).astype(np.int32)
-    xm, zm = _pack(x), np.zeros_like(_pack(x))
-    pivrow, free_cols = kern.active_lane().rref_x_block(
-        xm, zm, np.zeros(k, np.uint8), rlo, rhi)
     reduced, pivots = gf2_rref(x)
+    pivrow, free_cols = kern.active_lane().rref_x_block(
+        x, np.zeros_like(x), np.zeros(k, bool))
     assert [c for c in range(k) if pivrow[c] >= 0] == pivots
     assert list(free_cols) == sorted(set(range(k)) - set(pivots))
-    unpacked = np.unpackbits(xm.view(np.uint8), axis=1, bitorder="little")[:, :k]
-    assert np.array_equal(unpacked[pivrow[pivots]], reduced[:len(pivots)])
+    assert np.array_equal(x[pivrow[pivots]], reduced[:len(pivots)])
+
+
+def test_anticommuting_rows_raise():
+    # X_0 and Y_0 anticommute: their product i Z_0 has an odd phase.
+    x = np.array([[1, 0], [1, 0]], bool)
+    z = np.array([[0, 0], [1, 0]], bool)
+    with pytest.raises(AssertionError, match="odd phase"):
+        kern.active_lane().rref_x_block(x, z, np.zeros(2, bool))
+
+
+def test_non_symmetric_readout_raises():
+    # X_0 Z_1 and X_1 are already reduced but anticommute, so the Z block
+    # read off as an adjacency is not symmetric.
+    x = np.eye(2, dtype=bool)
+    z = np.array([[0, 1], [0, 0]], bool)
+    with pytest.raises(AssertionError, match="symmetric"):
+        graph_from_stab_matrix(x, z, np.zeros(2, bool))

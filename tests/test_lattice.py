@@ -530,6 +530,15 @@ class TestEngineMatchesTableau:
         assert reps[0].error_log and reps[0].error_log == reps[1].error_log
         assert self._outputs(reps[0].result) == self._outputs(reps[1].result)
 
+    def test_20x20_x_readout_with_dead_sites(self):
+        # sigma_x readout leaves nuclear VOPs that do not preserve Z, so the
+        # engine extracts the cluster through the general graph reduction.
+        lat = DonorLattice(20, 20, dead=self.DEAD)
+        steps = standard_protocol()[:-1] + [MeasureElectrons(Basis.X)]
+        runs = [run_protocol(lat, steps, backend=backend, rng=substream(5, "measure"))
+                for backend in ("stabilizer", "tableau")]
+        assert self._outputs(runs[0]) == self._outputs(runs[1])
+
 
 class TestCoolAndPrepare:
     def test_perfect_polarization_no_flips(self):

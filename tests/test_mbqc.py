@@ -34,6 +34,16 @@ class TestPatternType:
         with pytest.raises(PatternError):
             MeasurementStep(0, basis="Q")
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(PatternError, match="finite"):
+            MeasurementStep(0, angle=angle)
+
+    def test_nan_angle_in_json_rejected(self):
+        text = wire_pattern(3).to_json().replace('"basis": "X"', '"angle": NaN', 1)
+        with pytest.raises(PatternError, match="finite"):
+            MeasurementPattern.from_json(text)
+
     def test_z_takes_no_adaptation(self):
         with pytest.raises(PatternError):
             MeasurementStep(0, basis="Z", s_adapt={1})
@@ -240,6 +250,13 @@ class TestLogicalChannels:
     def test_no_seeds_rejected(self):
         with pytest.raises(PatternError):
             verify_logical(line_graph(3), wire_pattern(3), np.eye(2), seeds=range(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        target = np.eye(2, dtype=complex)
+        target[0, 1] = bad
+        with pytest.raises(PatternError, match="finite"):
+            verify_logical(line_graph(3), wire_pattern(3), target)
 
     def test_three_logical_qubits_rejected(self):
         pat = MeasurementPattern([0, 1, 2], [0, 1, 2], [])

@@ -64,6 +64,12 @@ class TestPreparationTime:
         with pytest.raises(ValueError):
             TimingModel(shuttle_rate=0)
 
+    @pytest.mark.parametrize("name", ["shuttle_rate", "cphase_total", "meas_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            TimingModel(**{name: value})
+
 
 class TestFigureOfMerit:
     def test_quoted_value(self):
@@ -84,6 +90,11 @@ class TestFigureOfMerit:
         with pytest.raises(ValueError):
             figure_of_merit(0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(np.inf, 4e4), (2.5, np.nan), (np.nan, 1.0)])
+    def test_finite_inputs_required(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            figure_of_merit(*args)
+
 
 class TestDefectModel:
     def test_probability_validation(self):
@@ -91,6 +102,12 @@ class TestDefectModel:
             DefectModel(eps_meas=1.5)
         with pytest.raises(ValueError):
             DefectModel(t2n=-1)
+
+    @pytest.mark.parametrize("name", ["t2n", "t1e"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            DefectModel(**{name: value})
 
     def test_polarization_constructor(self):
         dm = DefectModel.from_polarizations(p_electron=0.90, p_nuclear=0.76)

@@ -294,12 +294,10 @@ class TestGraphReduction:
     def test_dependent_rows_raise_value_error(self):
         # Rows X_0 Z_1 and X_0 Z_1 again: the set is dependent, so no graph
         # form exists; the caller must see a ValueError, not an assertion.
-        xm = np.array([[0b01], [0b01]], np.uint64)
-        zm = np.array([[0b10], [0b10]], np.uint64)
-        sg = np.zeros(2, np.uint8)
-        rlo, rhi = np.zeros(2, np.int32), np.full(2, 2, np.int32)
+        x = np.array([[1, 0], [1, 0]], bool)
+        z = np.array([[0, 1], [0, 1]], bool)
         with pytest.raises(ValueError, match="rank-deficient"):
-            graph_from_stab_matrix(xm, zm, sg, rlo, rhi)
+            graph_from_stab_matrix(x, z, np.zeros(2, bool))
 
 
 class TestResourceGuard:
