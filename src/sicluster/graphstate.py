@@ -74,12 +74,6 @@ class MeasurementOutcomeRecord:
     def entries(self) -> list[tuple[int, str, int]]:
         return list(self._entries)
 
-    def outcome_of(self, vertex: int) -> int:
-        for v, _, m in self._entries:
-            if v == vertex:
-                return m
-        raise KeyError(vertex)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -176,13 +170,6 @@ class GraphState:
 
     # -- spec operations ------------------------------------------------------
 
-    def add_vertex(self, v: int) -> "GraphState":
-        g = self.copy()
-        if v in g._adj:
-            raise ValueError(f"vertex {v} already present")
-        g._adj[int(v)] = set()
-        return g
-
     def toggle_edge(self, u: int, v: int) -> "GraphState":
         """Flip edge (u, v); both endpoints must carry identity vertex ops."""
         if u == v:
@@ -267,8 +254,9 @@ class GraphState:
             if m_eff != 1:
                 raise ValueError(
                     "X measurement of an isolated vertex is deterministically +1")
-        else:  # X
-            b0 = nbrs[0]
+        else:  # X: any neighbour is a valid swap partner; the one of least
+            # degree keeps the three local complementations cheap.
+            b0 = min(nbrs, key=lambda u: (len(adj[u]), u))
             nb0 = set(adj[b0])
             nv = set(nbrs)
             _complement_adj(adj, b0)

@@ -189,9 +189,6 @@ class DonorLattice:
     def n_sites(self) -> int:
         return self.lx * self.ly
 
-    def live_site_ids(self) -> list[int]:
-        return [s.nuclear_qubit // 2 for s in self.sites if not s.dead]
-
     def initial_electrons(self) -> dict[int, int]:
         """site id -> electron qubit id for the initially populated sites."""
         return {s.nuclear_qubit // 2: s.electron
@@ -288,16 +285,18 @@ class _TableauBackend:
 
 
 class _StatevectorBackend:
-    """Dense amplitudes of the entangled qubits only.
+    """Dense amplitudes of the entangled qubits only, with deferred C-phases.
 
-    Every qubit starts as a one-qubit state in ``single``.  A CZ first
-    attaches each endpoint that is still single to the amplitude array; a
-    readout of an attached qubit removes it in the same pass
-    (``StateVector.measure_out``) and leaves its eigenstate in ``single``.
-    Gates and readouts on a single qubit act on its 2-vector with the same
-    draw rule, so re-preparation and noise Z gates need no amplitudes.  An
-    11-site lattice thus reads its electrons out at 22 qubits or fewer and
-    extracts the graph from the 11 nuclei.
+    Every qubit starts as a one-qubit state in ``single``.  A CZ is only
+    recorded in ``pending`` (a second CZ on the same pair cancels it): CZs
+    commute with each other and with the diagonal gates Z, S and SDG, which
+    act on the qubit where it lies.  A readout or a non-diagonal gate first
+    applies the qubit's pending CZs, attaching each endpoint that is still
+    single to the amplitude array; a readout then removes the qubit in the
+    same pass (``StateVector.measure_out``) and leaves its eigenstate in
+    ``single``.  An electron thus joins the array only at its own readout,
+    next to the nuclei it touched, so the array never holds more than
+    n_sites + 1 qubits, and extraction sees the nuclei alone.
     """
 
     name = "statevector"
@@ -312,6 +311,7 @@ class _StatevectorBackend:
         self.sv: StateVector | None = None
         self.axes: list[int] = []  # qubit id of each axis of sv
         self.single: dict[int, StateVector] = {}
+        self.pending: dict[int, set[int]] = {}  # qubit -> deferred CZ partners
 
     def prepare(self) -> None:
         self.sv = StateVector(0)
@@ -319,6 +319,7 @@ class _StatevectorBackend:
         qubits = [2 * s for s in range(self.lattice.n_sites)]
         qubits += self.lattice.initial_electrons().values()
         self.single = {q: StateVector.all_plus(1) for q in qubits}
+        self.pending = {}
 
     def _attach(self, *qubits: int) -> None:
         """Move the single qubits among ``qubits`` into sv as leading axes.
@@ -336,17 +337,30 @@ class _StatevectorBackend:
         self.sv.n += len(new)
         self.axes[:0] = new
 
+    def _flush(self, q: int) -> None:
+        """Apply the CZs deferred on q."""
+        partners = sorted(self.pending.pop(q, ()))
+        if not partners:
+            return
+        self._attach(q, *partners)
+        for p in partners:
+            self.pending[p].discard(q)
+            self.sv.apply_cz(self.axes.index(q), self.axes.index(p))
+
     def cz(self, a: int, b: int) -> None:
-        self._attach(a, b)
-        self.sv.apply_cz(self.axes.index(a), self.axes.index(b))
+        self.pending.setdefault(a, set()).symmetric_difference_update({b})
+        self.pending.setdefault(b, set()).symmetric_difference_update({a})
 
     def gate(self, name: str, q: int) -> None:
+        if name not in ("Z", "S", "SDG"):
+            self._flush(q)
         if q in self.single:
             self.single[q].apply_gate(name, 0)
         else:
             self.sv.apply_gate(name, self.axes.index(q))
 
     def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
+        self._flush(q)
         if q in self.single:
             return self.single[q].measure(0, basis, self.rng)
         outcome, det, ket = self.sv.measure_out(self.axes.index(q), basis, self.rng)
@@ -355,6 +369,8 @@ class _StatevectorBackend:
         return outcome, det
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
+        for q in list(self.pending):
+            self._flush(q)
         nuclei = [2 * s for s in range(self.lattice.n_sites)]
         self._attach(*nuclei)
         if self.sv.n != len(nuclei):

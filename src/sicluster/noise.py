@@ -206,9 +206,6 @@ class NoisyRunReport:
     decoherence_prob: float
     seed: int
 
-    def outcome_list(self) -> list[tuple[int, str, int]]:
-        return self.result.outcomes.entries()
-
 
 def inject_noise(lattice: DonorLattice, steps, dm: DefectModel, tm: TimingModel,
                  seed: int, backend: str = "stabilizer") -> NoisyRunReport:

@@ -5,8 +5,11 @@ q of the amplitude array reshaped to [2]*n, i.e. basis index bit weight
 2^(n-1-q).  Norm is maintained to 1e-9 and checked.
 
 ``StateVector.measure_out`` reads a qubit and removes it in one pass, so the
-protocol and MBQC oracles keep only the qubits that are still entangled: a
-qubit joins the array at its first CZ and leaves it at its readout.
+protocol and MBQC oracles drop each qubit at its readout.  The protocol
+oracle (``lattice._StatevectorBackend``) also defers every CZ until a readout
+or a non-diagonal gate needs one of its ends, so a qubit joins the array only
+then, and an n-site lattice never holds more than n + 1 qubits.  The MBQC
+executor still prepares its whole cluster up front.
 """
 
 from __future__ import annotations

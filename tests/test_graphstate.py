@@ -150,6 +150,31 @@ class TestMeasurePauli:
             assert same_stabilizer_group(from_graph_state(got), from_graph_state(g2))
             checked += 1
 
+    def test_x_swap_partner_is_the_least_connected_neighbour(self):
+        # Neighbour 1 (the lowest id) is a hub; neighbour 4 touches only 0
+        # and 5, so the X rule complements at 4 and leaves the hub's
+        # neighbourhood to one local complementation.
+        from sicluster.tableau import Basis as TB
+        from sicluster.tableau import restricted_stab_graph
+
+        g = GraphState(range(9), [(0, 1), (0, 4), (1, 2), (1, 3), (1, 6), (1, 7),
+                                  (1, 8), (4, 5), (2, 3)])
+        keep = [u for u in g.vertices() if u != 0]
+        seen = set()
+        for seed in range(20):
+            t = from_graph_state(g)
+            out, det = t.measure(0, TB.X, np.random.default_rng(seed))
+            assert not det
+            g2, corrections = g.measure_pauli(0, "X", out)
+            assert corrections[0][0] == 4
+            adj, ops = restricted_stab_graph(t, keep)
+            got = GraphState(keep, [(keep[a], keep[b]) for a, nb in adj.items()
+                                    for b in nb if a < b],
+                             {keep[i]: op for i, op in ops.items()})
+            assert same_stabilizer_group(from_graph_state(got), from_graph_state(g2))
+            seen.add(out)
+        assert seen == {1, -1}
+
     @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
     def test_rules_match_dense_oracle(self, basis):
         rng = np.random.default_rng(hash(basis) % 1000)

@@ -26,12 +26,55 @@ from sicluster.lattice import (
     square_lattice_protocol,
     standard_protocol,
 )
-from sicluster.noise import DefectModel, TimingModel, inject_noise
+from sicluster.noise import DefectModel, NoiseInjector, TimingModel, inject_noise
 from sicluster.rng import substream
 from sicluster.statevec import SizeCapError, StateVector, tableau_from_statevector
 from sicluster.tableau import Basis
 
 BACKENDS = ("stabilizer", "tableau", "statevector")
+SHAPES_UP_TO_11 = [(lx, ly) for lx in range(1, 12) for ly in range(1, 12) if lx * ly <= 11]
+_PROTOCOLS = {"standard": standard_protocol, "square": square_lattice_protocol}
+
+
+def spy_dense_widths(monkeypatch) -> list[int]:
+    """Record the dense backend's array width after every attachment (the
+    only place the array grows)."""
+    widths = []
+    attach = lattice._StatevectorBackend._attach
+
+    def spy_attach(be, *qubits):
+        attach(be, *qubits)
+        widths.append(be.sv.n)
+
+    monkeypatch.setattr(lattice._StatevectorBackend, "_attach", spy_attach)
+    return widths
+
+
+def run_noisy(lat, steps, dm, seed, backend):
+    """``inject_noise`` with its coin generator kept: the result (or
+    ("error", message)), the error log and the generator's final state."""
+    injector = NoiseInjector(dm, TimingModel(), seed)
+    rng = substream(seed, "measure")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            res = run_protocol(lat, steps, backend=backend, rng=rng, noise=injector)
+        except ProtocolError as exc:
+            res = ("error", str(exc))
+    return res, injector.error_log, rng.bit_generator.state
+
+
+def assert_noisy_runs_agree(runs, assert_results_agree):
+    """``run_noisy`` triples agree: coins, error logs, and either every run
+    failed or every result agrees."""
+    (ref, ref_log, ref_state), *others = runs
+    for res, log, state in others:
+        assert state == ref_state, "backends drew different numbers of coins"
+        assert log == ref_log
+        if isinstance(ref, tuple) or isinstance(res, tuple):
+            assert isinstance(ref, tuple) and isinstance(res, tuple), (ref, res)
+        else:
+            assert_results_agree(ref, res)
 
 
 class TestScripts:
@@ -161,8 +204,9 @@ class TestRunProtocol:
                          backend="statevector", rng=np.random.default_rng(0))
 
     def test_dense_readouts_drop_their_qubit(self, monkeypatch):
-        """On 1x11 every electron leaves at the first shuttle; each readout
-        removes its qubit, and extraction sees only the 11 nuclei."""
+        """On 1x11 every electron leaves at the first shuttle.  Its C-phase is
+        applied only at that readout, which removes the electron again, so no
+        readout sees more than 12 qubits and extraction sees the 11 nuclei."""
         widths, extracted = [], []
         measure_out = StateVector.measure_out
 
@@ -178,8 +222,43 @@ class TestRunProtocol:
         monkeypatch.setattr(lattice, "tableau_from_statevector", spy_extract)
         run_protocol(DonorLattice(1, 11), standard_protocol(), backend="statevector",
                      rng=np.random.default_rng(0))
-        assert widths == list(range(22, 11, -1))
+        assert len(widths) == 11 and max(widths) == 12
         assert extracted == [11]
+
+    @pytest.mark.parametrize("proto", sorted(_PROTOCOLS))
+    def test_dense_array_holds_at_most_one_electron(self, monkeypatch, proto):
+        widths = spy_dense_widths(monkeypatch)
+        for lx, ly in SHAPES_UP_TO_11:
+            widths.clear()
+            run_protocol(DonorLattice(lx, ly), _PROTOCOLS[proto](), backend="statevector",
+                         rng=np.random.default_rng(lx * ly))
+            assert max(widths) <= lx * ly + 1, (lx, ly)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_deferred_cz_meets_every_gate(self, seed):
+        """Backend calls the walker never makes (H, X and Y on qubits with
+        deferred C-phases, repeated pairs) against eager dense gates."""
+        calls = [("cz", 1, 0), ("cz", 3, 2), ("cz", 1, 2), ("gate", "H", 1),
+                 ("cz", 3, 0), ("cz", 3, 0), ("cz", 3, 0), ("gate", "X", 0),
+                 ("cz", 1, 0), ("gate", "S", 3), ("gate", "Y", 2), ("measure", 3, Basis.X),
+                 ("gate", "SDG", 1), ("measure", 1, Basis.Y)]
+        be = lattice._StatevectorBackend(DonorLattice(2, 1), np.random.default_rng(seed))
+        be.prepare()
+        ref, ref_rng = StateVector.all_plus(4), np.random.default_rng(seed)
+        for op, *args in calls:
+            if op == "cz":
+                be.cz(*args)
+                ref.apply_cz(*args)
+            elif op == "gate":
+                be.gate(*args)
+                ref.apply_gate(*args)
+            else:
+                assert be.measure(*args) == ref.measure(*args, ref_rng)
+        for q in list(be.pending):
+            be._flush(q)
+        be._attach(0, 1, 2, 3)
+        got = be.sv.psi.reshape([2] * 4).transpose([be.axes.index(q) for q in range(4)])
+        assert StateVector(4, got).fidelity(ref) > 1 - 1e-9
 
     def test_measure_before_entanglement_warns(self):
         steps = [PrepareAllPlus(), MeasureElectrons(Basis.Y)]
@@ -274,7 +353,6 @@ def _dead_placements(lx, ly, max_dead):
     return [set(c) for k in range(max_dead + 1) for c in itertools.combinations(sites, k)]
 
 
-_PROTOCOLS = {"standard": standard_protocol, "square": square_lattice_protocol}
 _CLOSED_FORM_SIZES = [(3, 3), (4, 4), (2, 5), (5, 2), (4, 3)]
 
 
@@ -304,16 +382,33 @@ _STEPS = st.sampled_from(
     + [Shuttle(d) for d in ("+x", "-x", "+y", "-y")]
     + [MeasureElectrons(b) for b in Basis])
 _PROBS = st.sampled_from([0.0, 0.1, 0.5])
+_FREE_FORM = st.lists(_STEPS, min_size=1, max_size=12).map(lambda s: [PrepareAllPlus(), *s])
 
 
 @st.composite
-def noisy_scripts(draw):
-    """A lattice of at most 3x3 with dead sites, a free-form script (any
-    shuttle order, X/Y/Z readout, re-preparation), noise settings and a seed."""
-    lx, ly = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def canonical_mutants(draw):
+    """A canonical script with every readout in one drawn basis and up to
+    three free-form steps inserted after the preparation, so that large
+    lattices still grow clusters."""
+    base = draw(st.sampled_from(sorted(_PROTOCOLS)))
+    readout = MeasureElectrons(draw(st.sampled_from(list(Basis))))
+    steps = [readout if isinstance(s, MeasureElectrons) else s for s in _PROTOCOLS[base]()]
+    for step in draw(st.lists(_STEPS, max_size=3)):
+        steps.insert(draw(st.integers(1, len(steps))), step)
+    return steps
+
+
+@st.composite
+def noisy_scripts(draw, shapes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  max_dead=None, scripts=_FREE_FORM):
+    """A lattice (by default of at most 3x3) with dead sites, a script (by
+    default free-form: any shuttle order, X/Y/Z readout, re-preparation),
+    noise settings and a seed."""
+    lx, ly = draw(shapes)
     sites = [(i, j) for i in range(lx) for j in range(ly)]
-    dead = sorted(draw(st.sets(st.sampled_from(sites), max_size=len(sites) - 1)))
-    steps = [PrepareAllPlus(), *draw(st.lists(_STEPS, min_size=1, max_size=12))]
+    max_size = len(sites) - 1 if max_dead is None else max_dead
+    dead = sorted(draw(st.sets(st.sampled_from(sites), max_size=max_size)))
+    steps = draw(scripts)
     # A short T2n makes end-of-protocol dephasing likely.
     dm = DefectModel(eps_meas=draw(_PROBS), p_shuttle=draw(_PROBS), p_init_e=draw(_PROBS),
                      p_init_n=draw(_PROBS), t2n=draw(st.sampled_from([2.5, 1e-6])))
@@ -461,9 +556,23 @@ class TestRandomProtocols:
                 pred = predicted_edge_set(lat, steps)
             assert set(ref.result.graph.edges()) == pred
 
-    # The dense backend holds a qubit in its amplitude array only from its
-    # first C-phase to its next readout.  These scripts reach the paths where
-    # a qubit is outside the array when it is gated, read or extracted.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=noisy_scripts(shapes=st.sampled_from([(1, 11), (11, 1), (2, 5), (5, 2), (3, 3)]),
+                              max_dead=2, scripts=st.one_of(_FREE_FORM, canonical_mutants())))
+    def test_dense_width_and_agreement_up_to_11_sites(self, case):
+        lx, ly, dead, steps, dm, seed = case
+        lat = DonorLattice(lx, ly, dead=dead)
+        with pytest.MonkeyPatch.context() as mp:
+            widths = spy_dense_widths(mp)
+            runs = [run_noisy(lat, steps, dm, seed, backend) for backend in BACKENDS]
+        assert max(widths, default=0) <= lat.n_sites + 1
+        assert_noisy_runs_agree(runs, self._assert_agree)
+
+    # The dense backend holds a qubit in its amplitude array only from the
+    # readout that applies its C-phases to its next readout.  These scripts
+    # reach the paths where a qubit is outside the array when it is gated,
+    # read or extracted.
     _Y = MeasureElectrons(Basis.Y)
     SINGLE_QUBIT_SCRIPTS = {
         # Site (1, 0)'s re-prepared electron leaves the lattice before its
@@ -539,6 +648,22 @@ class TestEngineMatchesTableau:
                 for backend in ("stabilizer", "tableau")]
         assert self._outputs(runs[0]) == self._outputs(runs[1])
 
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=noisy_scripts(shapes=st.integers(6, 12).map(lambda n: (n, n)), max_dead=5,
+                              scripts=canonical_mutants()))
+    def test_random_noisy_scripts_6x6_to_12x12(self, case):
+        # Above the dense cap only the tableau checks the engine.
+        lx, ly, dead, steps, dm, seed = case
+        lat = DonorLattice(lx, ly, dead=dead)
+        runs = [run_noisy(lat, steps, dm, seed, backend)
+                for backend in ("stabilizer", "tableau")]
+
+        def assert_same_outputs(a, b):
+            assert self._outputs(a) == self._outputs(b)
+
+        assert_noisy_runs_agree(runs, assert_same_outputs)
 
 class TestCoolAndPrepare:
     def test_perfect_polarization_no_flips(self):
