@@ -31,7 +31,8 @@ from sicluster import cliffords
 from sicluster.cliffords import Clifford1
 from sicluster.graphstate import _AXIS_OF, _LC_NEIGHBOR, _LC_SELF, GraphState, _basis_name
 from sicluster.rng import draw_sign_bit
-from sicluster.tableau import REDUCTION_OPS, graph_from_stab_matrix
+from sicluster.tableau import MAX_TABLEAU_BYTES, REDUCTION_OPS, graph_from_stab_matrix
+from sicluster.tableau import SizeCapError
 
 _X, _Y, _Z = 0, 1, 2
 
@@ -184,7 +185,8 @@ class GraphSimulator(GraphState):
         Returns the same (adjacency, vertex_ops) canonical form as
         :func:`sicluster.tableau.graph_from_stab_matrix` on the kept
         generators.  Raises ValueError if a kept qubit has a neighbour
-        outside ``keep`` (the kept marginal is then mixed).
+        outside ``keep`` (the kept marginal is then mixed), and SizeCapError
+        before allocating a fallback reduction above the tableau's byte cap.
         """
         pos = {v: i for i, v in enumerate(keep)}
         for v in keep:
@@ -208,6 +210,9 @@ class GraphSimulator(GraphState):
                 if el is not None:
                     out_ops[i] = el
             return adj, out_ops
+        if 2 * len(keep) ** 2 + len(keep) > MAX_TABLEAU_BYTES:  # two (k, k) blocks, k signs
+            raise SizeCapError(f"a {len(keep)}-qubit graph reduction exceeds the "
+                               f"{MAX_TABLEAU_BYTES / 2**30:.0f} GiB tableau cap")
         return graph_from_stab_matrix(*self._generators(keep, pos, ops))
 
     def _generators(self, keep, pos, ops):

@@ -20,10 +20,10 @@ and calls the noise hooks.  It drives one of four consumers through
 ``prepare``/``cz``/``gate``/``measure``.  ``run_protocol(backend=
 "stabilizer")`` runs the in-place graph-state engine
 (``sicluster.graphsim``); ``backend="tableau"`` runs the same script on the
-Aaronson-Gottesman stabilizer tableau and ``backend="statevector"`` on dense
-amplitudes, the two oracles the engine is checked against.
-``predicted_edge_set`` runs it on a backend that only tracks CZ partner
-sets.
+Aaronson-Gottesman stabilizer tableau and ``backend="statevector"`` on the
+deferred dense register of ``sicluster.statevec``, the two oracles the
+engine is checked against.  ``predicted_edge_set`` runs it on a backend
+that only tracks CZ partner sets.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState, MeasurementOutcomeRecord, check_site_cap
 from sicluster.statevec import (
     MAX_QUBITS,
+    DenseRegister,
     SizeCapError,
     StateVector,
     graph_to_statevector,
@@ -284,104 +285,28 @@ class _TableauBackend:
         return restricted_stab_graph(self.t, [2 * s for s in range(self.lattice.n_sites)])
 
 
-class _StatevectorBackend:
-    """Dense amplitudes of the entangled qubits only, with deferred C-phases.
-
-    Every qubit starts as a one-qubit state in ``single``.  A CZ is only
-    recorded in ``pending`` (a second CZ on the same pair cancels it): CZs
-    commute with each other and with the diagonal gates Z, S and SDG, which
-    act on the qubit where it lies.  A readout or a non-diagonal gate first
-    applies the qubit's pending CZs, attaching each endpoint that is still
-    single to the amplitude array; a readout then removes the qubit in the
-    same pass (``StateVector.measure_out``) and leaves its eigenstate in
-    ``single``.  An electron thus joins the array only at its own readout,
-    next to the nuclei it touched, so the array never holds more than
-    n_sites + 1 qubits, and extraction sees the nuclei alone.
-    """
+class _StatevectorBackend(DenseRegister):
+    """The dense register on the lattice qubits: an electron joins the array
+    only at its own readout, so it never holds more than n_sites + 1."""
 
     name = "statevector"
 
     def __init__(self, lattice: DonorLattice, rng):
-        self.lattice = lattice
-        self.rng = rng
         n_active = lattice.n_sites + len(lattice.initial_electrons())
         if n_active > MAX_QUBITS:
             raise SizeCapError(
                 f"statevector backend needs {n_active} qubits, cap is {MAX_QUBITS}")
-        self.sv: StateVector | None = None
-        self.axes: list[int] = []  # qubit id of each axis of sv
-        self.single: dict[int, StateVector] = {}
-        self.pending: dict[int, set[int]] = {}  # qubit -> deferred CZ partners
+        super().__init__(rng)
+        self.lattice = lattice
 
     def prepare(self) -> None:
-        self.sv = StateVector(0)
-        self.axes = []
-        qubits = [2 * s for s in range(self.lattice.n_sites)]
-        qubits += self.lattice.initial_electrons().values()
-        self.single = {q: StateVector.all_plus(1) for q in qubits}
-        self.pending = {}
-
-    def _attach(self, *qubits: int) -> None:
-        """Move the single qubits among ``qubits`` into sv as leading axes.
-
-        Their kets are multiplied together first, so the array is copied
-        once, into contiguous blocks.
-        """
-        new = [q for q in qubits if q in self.single]
-        if not new:
-            return
-        ket = np.ones(1, complex)
-        for q in new:
-            ket = np.multiply.outer(ket, self.single.pop(q).psi).reshape(-1)
-        self.sv.psi = np.multiply.outer(ket, self.sv.psi).reshape(-1)
-        self.sv.n += len(new)
-        self.axes[:0] = new
-
-    def _flush(self, q: int) -> None:
-        """Apply the CZs deferred on q."""
-        partners = sorted(self.pending.pop(q, ()))
-        if not partners:
-            return
-        self._attach(q, *partners)
-        for p in partners:
-            self.pending[p].discard(q)
-            self.sv.apply_cz(self.axes.index(q), self.axes.index(p))
-
-    def cz(self, a: int, b: int) -> None:
-        self.pending.setdefault(a, set()).symmetric_difference_update({b})
-        self.pending.setdefault(b, set()).symmetric_difference_update({a})
-
-    def gate(self, name: str, q: int) -> None:
-        if name not in ("Z", "S", "SDG"):
-            self._flush(q)
-        if q in self.single:
-            self.single[q].apply_gate(name, 0)
-        else:
-            self.sv.apply_gate(name, self.axes.index(q))
-
-    def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
-        self._flush(q)
-        if q in self.single:
-            return self.single[q].measure(0, basis, self.rng)
-        outcome, det, ket = self.sv.measure_out(self.axes.index(q), basis, self.rng)
-        self.axes.remove(q)
-        self.single[q] = StateVector(1, ket)
-        return outcome, det
+        pass  # the register starts every qubit in |+>
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        for q in list(self.pending):
-            self._flush(q)
-        nuclei = [2 * s for s in range(self.lattice.n_sites)]
-        self._attach(*nuclei)
-        if self.sv.n != len(nuclei):
+        psi = self.gather([2 * s for s in range(self.lattice.n_sites)])
+        if psi.ndim != self.lattice.n_sites:
             raise ProtocolError("unmeasured electrons remain in the dense state")
-        site_axes = [self.axes.index(q) for q in nuclei]
-        psi = self.sv.psi.reshape([2] * self.sv.n).transpose(site_axes)
-        t = tableau_from_statevector(psi)
-        g = t.to_graph_state()
-        adj = {v: g.neighbors(v) for v in g.vertices()}
-        ops = dict(g.vertex_ops)
-        return adj, ops
+        return restricted_stab_graph(tableau_from_statevector(psi), list(range(psi.ndim)))
 
 
 def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
@@ -612,9 +537,8 @@ def cool_and_prepare(lattice: DonorLattice, p_electron: float = 1.0,
 def dense_state_of(result: RunResult) -> StateVector:
     """Render a run's (graph, frame) output as a dense state for comparison."""
     ids, sv = graph_to_statevector(result.graph)
-    index = {v: i for i, v in enumerate(ids)}
     for v in result.frame.x:
-        sv.apply_1q(np.array([[0, 1], [1, 0]], complex), index[v])
+        sv.apply_gate("X", ids.index(v))
     for v in result.frame.z:
-        sv.apply_1q(np.array([[1, 0], [0, -1]], complex), index[v])
+        sv.apply_gate("Z", ids.index(v))
     return sv

@@ -2,11 +2,15 @@
 
 A pattern lists single-qubit measurements (Pauli bases at any scale via the
 stabilizer backend, which runs the graph-state engine of
-``sicluster.graphsim``; arbitrary xy-plane angles at desk scale via the
-dense backend) with outcome-adaptive angle sign flips, plus byproduct
-correction sets that determine the final Pauli frame on the output vertices.
-Arbitrary angles are realized exactly as a pre-measurement Z rotation
-followed by a sigma_z-frame readout.
+``sicluster.graphsim``; arbitrary xy-plane angles via the dense backend)
+with outcome-adaptive angle sign flips, plus byproduct correction sets that
+determine the final Pauli frame on the output vertices.  Arbitrary angles
+are realized exactly as a pre-measurement Z rotation followed by a
+sigma_z-frame readout.
+
+The dense backend defers the cluster's CZs on a ``statevec.DenseRegister``:
+a vertex is in the amplitude array only from the first readout that needs
+its C-phases to its own, so a chain holds 2 qubits whatever its length.
 
 Angle convention: measuring vertex v at angle a (basis cos(a) X + sin(a) Y)
 with outcome bit m teleports X^m J(-a) onto the logical qubit, where
@@ -28,7 +32,7 @@ from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.lattice import PauliFrame
 from sicluster.rng import substream
-from sicluster.statevec import StateVector
+from sicluster.statevec import DenseRegister, StateVector
 from sicluster.tableau import (  # noqa: F401  (the benchmark tracer patches the last two here)
     Basis,
     from_graph_state,
@@ -204,11 +208,7 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
     the output as a graph state.  Both backends refuse a pattern that leaves
     an unmeasured non-output vertex entangled with the outputs.
     """
-    pattern.validate(cluster)
-    for v in sorted(cluster.vertex_ops):
-        if not cluster.op(v).is_identity():
-            raise PatternError("execute_pattern needs a canonical cluster "
-                               f"(vertex {v} carries {cluster.op(v).name})")
+    _check_runnable(cluster, pattern)
     if rng is None:
         rng = np.random.default_rng(0)
     if backend == "statevector":
@@ -218,6 +218,15 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
             raise PatternError("stabilizer backend supports |+> inputs only")
         return _execute_stabilizer(cluster, pattern, rng)
     raise PatternError(f"unknown backend {backend!r}")
+
+
+def _check_runnable(cluster: GraphState, pattern: MeasurementPattern) -> None:
+    """Refuse an invalid pattern, or a cluster that carries vertex operators."""
+    pattern.validate(cluster)
+    for v in sorted(cluster.vertex_ops):
+        if not cluster.op(v).is_identity():
+            raise PatternError("execute_pattern needs a canonical cluster "
+                               f"(vertex {v} carries {cluster.op(v).name})")
 
 
 def _effective_angle(st: MeasurementStep, outcomes: dict[int, int]) -> float:
@@ -230,64 +239,38 @@ def _effective_angle(st: MeasurementStep, outcomes: dict[int, int]) -> float:
 
 
 def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
-    ids = sorted(cluster.vertices())
-    index = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
     if input_state is None:
-        sv = StateVector.all_plus(n)
+        reg = DenseRegister(rng)
+    elif input_state.n != len(pattern.inputs):
+        raise PatternError("input state size does not match pattern inputs")
     else:
-        if input_state.n != len(pattern.inputs):
-            raise PatternError("input state size does not match pattern inputs")
-        psi = input_state.psi.reshape([2] * input_state.n)
-        rest = [v for v in ids if v not in set(pattern.inputs)]
-        plus = np.full([2] * len(rest), (1 / np.sqrt(2)) ** len(rest), complex) \
-            if rest else np.array(1.0, complex)
-        full = np.multiply.outer(psi, plus)
-        # Axis order is inputs (pattern order) then the rest; permute to ids.
-        axis_of = {v: k for k, v in enumerate(list(pattern.inputs) + rest)}
-        full = np.transpose(full, [axis_of[v] for v in ids])
-        sv = StateVector(n, full.reshape(-1))
+        reg = DenseRegister(rng, pattern.inputs, input_state.psi)
     for u, v in cluster.edges():
-        sv.apply_cz(index[u], index[v])
-
-    # Each readout removes its qubit, so later readouts run on fewer axes.
+        reg.cz(u, v)
     outcomes: dict[int, int] = {}
     order: list[int] = []
-    remaining = list(ids)  # vertex of each axis of sv
     for st in pattern.steps:
         basis = Basis.Z if st.basis == "Z" else _effective_angle(st, outcomes)
-        outcome, _, _ = sv.measure_out(remaining.index(st.vertex), basis, rng)
-        remaining.remove(st.vertex)
-        outcomes[st.vertex] = outcome
+        outcomes[st.vertex], _ = reg.measure(st.vertex, basis)
         order.append(st.vertex)
 
-    stragglers = [v for v in remaining if v not in set(pattern.outputs)]
-    pos = {v: i for i, v in enumerate(remaining)}
-    if stragglers:
-        # Unmeasured non-output vertices are tolerated only when the pattern
-        # has disentangled them from the outputs (e.g. the far side of a
-        # carved cluster); take the partial trace and demand a pure result.
-        work = sv.psi.reshape([2] * sv.n)
-        out_axes = [pos[v] for v in pattern.outputs]
-        other_axes = [pos[v] for v in stragglers]
-        work = np.transpose(work, out_axes + other_axes)
-        dim = 1 << len(pattern.outputs)
-        mat = work.reshape(dim, -1)
+    outs = list(pattern.outputs)
+    mat = reg.gather(outs).reshape(1 << len(outs), -1)
+    if mat.shape[1] > 1:
+        # Unmeasured vertices still in the array are tolerated only when the
+        # pattern has disentangled them from the outputs: demand a pure trace.
         rho = mat @ mat.conj().T
         purity = float(np.real(np.trace(rho @ rho)))
         if purity < 1 - 1e-9:
+            stragglers = [v for v in cluster.vertices() if v not in outcomes and v not in outs]
             raise PatternError(
                 "pattern leaves unmeasured vertices entangled with the outputs: "
                 f"{stragglers} (purity {purity:.6f})")
-        vals, vecs = np.linalg.eigh(rho)
-        psi = vecs[:, -1]
-        result_state = StateVector(len(pattern.outputs), psi)
+        psi = np.linalg.eigh(rho)[1][:, -1]
     else:
-        perm = [pos[v] for v in pattern.outputs]
-        psi = np.transpose(sv.psi.reshape([2] * sv.n), perm).reshape(-1)
-        result_state = StateVector(len(pattern.outputs), psi / np.linalg.norm(psi))
+        psi = mat[:, 0] / np.linalg.norm(mat)
     frame = _frame_from_corrections(pattern, outcomes)
-    return PatternResult(outcomes, order, frame, output_state=result_state)
+    return PatternResult(outcomes, order, frame, output_state=StateVector(len(outs), psi))
 
 
 def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
@@ -523,6 +506,8 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
         raise PatternError(f"target must be {dim}x{dim}")
     if not np.all(np.isfinite(target)):
         raise PatternError("target must be finite")
+    _check_runnable(cluster, pattern)
+    idx = {v: i for i, v in enumerate(pattern.outputs)}
     labels = list(_BASIS_STATES)
     per_input: dict[str, float] = {}
     worst = 0.0
@@ -532,13 +517,12 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
             vec = np.kron(vec, _BASIS_STATES[lab])
         expected = target @ vec
         name = "|" + ",".join(combo) + ">"
+        inp = StateVector(k, vec)
         dmax = 0.0
         for s in seeds:
             rng = substream(root_seed, "verify", int(s))
-            res = execute_pattern(cluster, pattern, StateVector(k, vec),
-                                  backend="statevector", rng=rng)
+            res = _execute_dense(cluster, pattern, inp, rng)
             out = res.output_state
-            idx = {v: i for i, v in enumerate(pattern.outputs)}
             for v in res.frame.x:
                 out.apply_gate("X", idx[v])
             for v in res.frame.z:

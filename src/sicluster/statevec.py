@@ -4,12 +4,9 @@ Capped at 22 qubits (64 MiB of complex amplitudes).  Qubit q is tensor axis
 q of the amplitude array reshaped to [2]*n, i.e. basis index bit weight
 2^(n-1-q).  Norm is maintained to 1e-9 and checked.
 
-``StateVector.measure_out`` reads a qubit and removes it in one pass, so the
-protocol and MBQC oracles drop each qubit at its readout.  The protocol
-oracle (``lattice._StatevectorBackend``) also defers every CZ until a readout
-or a non-diagonal gate needs one of its ends, so a qubit joins the array only
-then, and an n-site lattice never holds more than n + 1 qubits.  The MBQC
-executor still prepares its whole cluster up front.
+``DenseRegister``, the dense register of the protocol oracle and the MBQC
+executor, defers every CZ until a readout needs one of its ends and drops
+each qubit at its readout, so the array holds only entangled qubits.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ MAT_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MAT_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 MAT_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _PAULI_MATS = {"X": MAT_X, "Y": MAT_Y, "Z": MAT_Z}
+_GATE_MATS = {"H": MAT_H, "S": MAT_S, "SDG": MAT_S.conj().T, **_PAULI_MATS}
 
 KET_PLUS = np.array([_SQ2, _SQ2], dtype=complex)
 KET_MINUS = np.array([_SQ2, -_SQ2], dtype=complex)
@@ -124,9 +122,7 @@ class StateVector:
         return self
 
     def apply_gate(self, name: str, q: int) -> "StateVector":
-        mats = {"H": MAT_H, "S": MAT_S, "SDG": MAT_S.conj().T,
-                "X": MAT_X, "Y": MAT_Y, "Z": MAT_Z}
-        return self.apply_1q(mats[name.upper()], q)
+        return self.apply_1q(_GATE_MATS[name.upper()], q)
 
     def apply_clifford1(self, el: cliffords.Clifford1, q: int) -> "StateVector":
         return self.apply_1q(cliffords.matrix_of(el), q)
@@ -264,6 +260,97 @@ class StateVector:
         return float(abs(np.vdot(self.psi, other.psi)))
 
 
+class DenseRegister:
+    """Dense amplitudes of the entangled qubits only, with deferred CZs.
+
+    Qubits carry any sortable labels.  A detached qubit is a one-qubit ket
+    in ``single`` (a label not met yet is a detached |+>); the array ``sv``
+    holds the others, ``axes`` naming the qubit of each axis.  A CZ is only
+    recorded in ``pending``, where a repeated pair cancels: CZs commute with
+    each other and with Z, S and SDG.  A non-diagonal gate or a readout off
+    the Z axis first applies the qubit's pending CZs, attaching their
+    detached ends; the readout then drops the qubit from the array
+    (``StateVector.measure_out``).  A Z readout applies none: each pending
+    CZ is a Z on the partner when the qubit reads 1.
+    """
+
+    def __init__(self, rng, labels=(), psi=None):
+        # The array starts empty or holds psi, labels[0] on its leading axis.
+        self.rng = rng
+        self.sv = StateVector(len(labels), psi)
+        self.axes: list = list(labels)
+        self.single: dict = {}
+        self.pending: dict = {}  # qubit -> deferred CZ partners
+
+    def _attach(self, *qubits) -> None:
+        """Move the detached qubits among ``qubits`` into sv as leading axes,
+        copying the array once and never past the dense cap."""
+        new = [q for q in qubits if q not in self.axes]
+        if not new:
+            return
+        n = self.sv.n + len(new)
+        if n > MAX_QUBITS:
+            raise SizeCapError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+        ket = self.single.pop(new[0], KET_PLUS)
+        for q in new[1:]:
+            ket = np.multiply.outer(ket, self.single.pop(q, KET_PLUS)).reshape(-1)
+        self.sv.psi = np.multiply.outer(ket, self.sv.psi).reshape(-1)
+        self.sv.n = n
+        self.axes[:0] = new
+
+    def _flush(self, q) -> None:
+        """Apply the CZs deferred on q."""
+        partners = sorted(self.pending.pop(q, ()))
+        if not partners:
+            return
+        self._attach(q, *partners)
+        for p in partners:
+            self.pending[p].discard(q)
+            self.sv.apply_cz(self.axes.index(q), self.axes.index(p))
+
+    def cz(self, a, b) -> None:
+        self.pending.setdefault(a, set()).symmetric_difference_update({b})
+        self.pending.setdefault(b, set()).symmetric_difference_update({a})
+
+    def gate(self, name: str, q) -> None:
+        if name not in ("Z", "S", "SDG"):
+            self._flush(q)
+        if q in self.axes:
+            self.sv.apply_gate(name, self.axes.index(q))
+        else:
+            self.single[q] = _GATE_MATS[name] @ self.single.get(q, KET_PLUS)
+
+    def measure(self, q, basis: Basis | float) -> tuple[int, bool]:
+        """Read q in a Pauli basis or at an XY angle, leaving it detached."""
+        if basis is not Basis.Z:
+            self._flush(q)
+        partners = sorted(self.pending.pop(q, ()))  # none left after a flush
+        if q in self.axes:
+            outcome, det, ket = self.sv.measure_out(self.axes.index(q), basis, self.rng)
+            self.axes.remove(q)
+        else:
+            one = StateVector(1, self.single.get(q, KET_PLUS))
+            outcome, det, ket = one.measure_out(0, basis, self.rng)
+        self.single[q] = ket
+        for p in partners:
+            self.pending[p].discard(q)
+            if outcome == -1:
+                self.gate("Z", p)
+        return outcome, det
+
+    def gather(self, qubits) -> np.ndarray:
+        """Apply every deferred CZ reachable from ``qubits`` or the array; return
+        the array, now in a product with the rest, with ``qubits`` leading."""
+        self._attach(*qubits)
+        todo = list(self.axes)
+        while todo:
+            q = todo.pop()
+            if self.pending.get(q):
+                todo += self.pending[q]
+                self._flush(q)
+        order = list(qubits) + [q for q in self.axes if q not in qubits]
+        return self.sv.psi.reshape([2] * self.sv.n).transpose(
+            [self.axes.index(q) for q in order])
 
 
 def sv_run(source, operations, rng=None) -> tuple[StateVector, list[tuple[int, str, int]]]:

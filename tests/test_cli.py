@@ -277,6 +277,23 @@ class TestMbqc:
         assert doc["carve"]["path"] == [0, 3, 6]
         assert doc["identity_wire_distance"] < 1e-9
 
+    def test_readme_carve_beyond_dense_cap(self, tmp_path):
+        # 25 cluster vertices: the dense check holds only the wire's
+        # neighbourhood, never the whole cluster.
+        out = tmp_path / "r.json"
+        rc = run_cli(["mbqc", "--cluster", "grid:5x5", "--carve", "0:20",
+                      "--dead-vertices", "10", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["distance_ok"] is True
+
+    @pytest.mark.parametrize("cluster", ["grid:5x5", "line:30"])
+    def test_dense_outputs_entangled_past_the_cap_exit_3(self, cluster, capsys):
+        # wire:3 leaves output 2 entangled with every unmeasured vertex: 23
+        # and 28 qubits with the output, more than the 22-qubit cap.
+        rc = run_cli(["mbqc", "--cluster", cluster, "--builtin", "wire:3"])
+        assert rc == EXIT_RESOURCE
+        assert "dense cap" in capsys.readouterr().err
+
     def test_carve_blocked_exit_4(self):
         rc = run_cli(["mbqc", "--cluster", "grid:3x3", "--carve", "0:8",
                       "--dead-vertices", "1,3,4,5,7"])

@@ -1,5 +1,7 @@
 """In-place graph-state engine against the tableau, gate by gate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from sicluster import cliffords
 from sicluster.graphsim import _ZP_MOVES, GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.tableau import (
+    MAX_TABLEAU_BYTES,
     Basis,
+    SizeCapError,
     from_graph_state,
     graph_from_stab_matrix,
     new_plus_state,
@@ -155,6 +159,27 @@ def test_restriction_drops_measured_qubits():
     sim, _, _, _ = run_pair([("CZ", 0, 1), ("CZ", 1, 2), ("M", 1, Basis.Y)], 3)
     adj, _ = sim.restricted_graph([0, 2])
     assert adj == {0: {1}, 1: {0}}
+
+
+def test_oversized_fallback_reduction_refused_before_allocating(monkeypatch):
+    # The fallback takes two (k, k) bool blocks and k signs, 2k^2 + k bytes:
+    # over the tableau's 2 GiB cap from k = 32 768 on, while 32 767 fits.
+    assert 2 * 32_767**2 + 32_767 <= MAX_TABLEAU_BYTES < 2 * 32_768**2 + 32_768
+    sim = GraphSimulator(32_768)
+    sim.gate("H", 0)  # a VOP that moves the Z axis forces the fallback
+
+    def generators(*args):
+        raise AssertionError("the fallback reduction was built")
+
+    monkeypatch.setattr(GraphSimulator, "_generators", generators)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="32768-qubit graph reduction"):
+            sim.restricted_graph(list(range(32_768)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
 
 
 def test_bad_arguments():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sicluster import mbqc
 from sicluster.graphstate import GraphState, grid_graph, line_graph
 from sicluster.mbqc import (
     MeasurementPattern,
@@ -21,8 +22,8 @@ from sicluster.mbqc import (
     verify_logical,
     wire_pattern,
 )
-from sicluster.statevec import StateVector, tableau_from_statevector
-from sicluster.tableau import from_graph_state, same_stabilizer_group
+from sicluster.statevec import DenseRegister, StateVector, tableau_from_statevector
+from sicluster.tableau import Basis, from_graph_state, same_stabilizer_group
 
 
 class TestPatternType:
@@ -209,6 +210,145 @@ def test_stabilizer_and_dense_executors_agree(case):
     relabel = {v: i for i, v in enumerate(pattern.outputs)}
     assert same_stabilizer_group(from_graph_state(stab.output_graph.relabeled(relabel)),
                                  tableau_from_statevector(dense.output_state.psi))
+
+
+def _eager_execute_dense(cluster, pattern, input_state, rng):
+    """The dense executor as it was before the deferred register, kept
+    frozen: it prepares the whole cluster and applies every edge before the
+    first readout."""
+    ids = sorted(cluster.vertices())
+    index = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    if input_state is None:
+        sv = StateVector.all_plus(n)
+    else:
+        if input_state.n != len(pattern.inputs):
+            raise PatternError("input state size does not match pattern inputs")
+        psi = input_state.psi.reshape([2] * input_state.n)
+        rest = [v for v in ids if v not in set(pattern.inputs)]
+        plus = np.full([2] * len(rest), (1 / np.sqrt(2)) ** len(rest), complex) \
+            if rest else np.array(1.0, complex)
+        full = np.multiply.outer(psi, plus)
+        axis_of = {v: k for k, v in enumerate(list(pattern.inputs) + rest)}
+        full = np.transpose(full, [axis_of[v] for v in ids])
+        sv = StateVector(n, full.reshape(-1))
+    for u, v in cluster.edges():
+        sv.apply_cz(index[u], index[v])
+    outcomes, order = {}, []
+    remaining = list(ids)
+    for step in pattern.steps:
+        basis = Basis.Z if step.basis == "Z" else mbqc._effective_angle(step, outcomes)
+        outcome, _, _ = sv.measure_out(remaining.index(step.vertex), basis, rng)
+        remaining.remove(step.vertex)
+        outcomes[step.vertex] = outcome
+        order.append(step.vertex)
+    stragglers = [v for v in remaining if v not in set(pattern.outputs)]
+    pos = {v: i for i, v in enumerate(remaining)}
+    if stragglers:
+        work = sv.psi.reshape([2] * sv.n)
+        work = np.transpose(work, [pos[v] for v in pattern.outputs]
+                            + [pos[v] for v in stragglers])
+        mat = work.reshape(1 << len(pattern.outputs), -1)
+        rho = mat @ mat.conj().T
+        purity = float(np.real(np.trace(rho @ rho)))
+        if purity < 1 - 1e-9:
+            raise PatternError(
+                "pattern leaves unmeasured vertices entangled with the outputs: "
+                f"{stragglers} (purity {purity:.6f})")
+        psi = np.linalg.eigh(rho)[1][:, -1]
+    else:
+        psi = np.transpose(sv.psi.reshape([2] * sv.n),
+                           [pos[v] for v in pattern.outputs]).reshape(-1)
+        psi = psi / np.linalg.norm(psi)
+    frame = mbqc._frame_from_corrections(pattern, outcomes)
+    return mbqc.PatternResult(outcomes, order, frame,
+                              output_state=StateVector(len(pattern.outputs), psi))
+
+
+@st.composite
+def dense_patterns(draw):
+    """A graph of at most 10 vertices, an X/Y/Z or free-angle pattern on it
+    with s/t adaptation and stragglers, and |+> or a random 1-2 qubit input."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    order = draw(st.permutations(range(n)))
+    n_out = draw(st.integers(1, min(3, n)))
+    outputs, rest = order[:n_out], order[n_out:]
+    measured = rest[:draw(st.integers(0, len(rest)))]  # the rest are stragglers
+    earlier = st.sets(st.sampled_from(measured)) if measured else st.just(set())
+    steps = []
+    for j, v in enumerate(measured):
+        kind = draw(st.sampled_from(["X", "Y", "Z", "angle"]))
+        if kind == "Z":
+            steps.append(MeasurementStep(v, basis="Z"))
+            continue
+        deps = [draw(earlier) & set(measured[:j]) for _ in range(2)]
+        if kind == "angle":
+            angle = draw(st.floats(-np.pi, np.pi, allow_nan=False))
+            steps.append(MeasurementStep(v, angle=angle, s_adapt=deps[0], t_adapt=deps[1]))
+        else:
+            steps.append(MeasurementStep(v, basis=kind, s_adapt=deps[0], t_adapt=deps[1]))
+    corrections = {v: {"x": draw(earlier), "z": draw(earlier)} for v in outputs}
+    inputs, input_state = [], None
+    k = draw(st.integers(0, min(2, n)))
+    if k:
+        inputs = draw(st.permutations(range(n)))[:k]
+        amps = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(2, 1 << k))
+        psi = amps[0] + 1j * amps[1]
+        input_state = StateVector(k, psi / np.linalg.norm(psi))
+    pattern = MeasurementPattern(inputs, outputs, steps, corrections)
+    return GraphState(range(n), edges), pattern, input_state, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=dense_patterns())
+def test_deferred_dense_executor_matches_eager_one(case):
+    cluster, pattern, input_state, seed = case
+    results, coins = [], []
+    for run in (execute_pattern, _eager_execute_dense):
+        rng = np.random.default_rng(seed)
+        try:
+            results.append(run(cluster, pattern, input_state, rng=rng))
+        except PatternError as exc:
+            results.append(exc)
+        coins.append(rng.bit_generator.state)
+    new, old = results
+    assert coins[0] == coins[1]
+    if isinstance(old, PatternError):
+        assert isinstance(new, PatternError) and str(new) == str(old)
+        return
+    assert (new.outcomes, new.order, new.frame) == (old.outcomes, old.order, old.frame)
+    assert 1 - new.output_state.fidelity(old.output_state) < 1e-12
+
+
+def test_chain_array_holds_at_most_two_qubits(monkeypatch):
+    """A chain pattern attaches each wire vertex at its neighbour's readout
+    and drops it at its own, so the array never exceeds 2 qubits, on lines
+    far past the 22-qubit cap."""
+    widths = []
+    attach = DenseRegister._attach
+
+    def spy_attach(reg, *qubits):
+        attach(reg, *qubits)
+        widths.append(reg.sv.n)
+
+    monkeypatch.setattr(DenseRegister, "_attach", spy_attach)
+    rng = np.random.default_rng(11)
+
+    def j(a):  # measuring at angle a teleports J(-a) = H diag(1, e^{-ia})
+        return np.array([[1, 1], [1, -1]]) @ np.diag([1, np.exp(-1j * a)]) / np.sqrt(2)
+
+    for n in range(5, 42):
+        angles = rng.uniform(-np.pi, np.pi, n - 1)
+        target = np.eye(2)
+        for a in angles:
+            target = j(a) @ target
+        widths.clear()
+        rep = verify_logical(line_graph(n), chain_pattern(angles), target, seeds=range(1))
+        assert rep.distance < 1e-9, n
+        assert max(widths) == 2, n
 
 
 class TestLogicalChannels:
