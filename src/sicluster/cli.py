@@ -261,7 +261,7 @@ def cmd_build_cluster(args) -> int:
         "backend": result.backend,
         "config": {k: cfg[k] for k in ("lx", "ly", "dead", "seed")},
         "protocol": cfg["protocol"] if isinstance(cfg["protocol"], str) else "custom",
-        "graph": {"vertices": result.graph.n, "edges": len(result.graph.edges())},
+        "graph": {"vertices": result.graph.n, "edges": result.graph.edge_count()},
         "outcomes": [[q, b, o] for q, b, o in result.outcomes],
         "frame": result.frame.as_dict(),
         "error_log": [list(e) for e in error_log],
@@ -280,7 +280,7 @@ def cmd_build_cluster(args) -> int:
         (out_dir / f"cluster.{fmt}").write_bytes(graphstate.export(result.graph, fmt))
     (out_dir / "report.json").write_text(_dump_json(report))
     sys.stdout.write(f"wrote {out_dir}/cluster.{{{','.join(fmts)}}} and report.json "
-                     f"({result.graph.n} vertices, {len(result.graph.edges())} edges)\n")
+                     f"({result.graph.n} vertices, {result.graph.edge_count()} edges)\n")
     return EXIT_OK
 
 

@@ -1,11 +1,17 @@
-"""The 24-element single-qubit Clifford group, represented symplectically.
+"""The 24-element single-qubit Clifford group, as lookup tables.
 
-Each element is stored by its conjugation action on the Pauli axes: the image
-of X and the image of Z, each a signed Pauli.  That pair (a symplectic 2x2
-over GF(2) plus two sign bits) identifies a Clifford uniquely up to global
-phase, which is all the graph-state and tableau machinery needs.  The group
-table is generated at import time from the H and S matrices so that sign
-conventions are fixed by linear algebra rather than by hand.
+Each element is identified by its conjugation action on the Pauli axes: the
+image of X and the image of Z, each a signed Pauli.  That pair (a symplectic
+2x2 over GF(2) plus two sign bits) identifies a Clifford uniquely up to
+global phase, which is all the graph-state and tableau machinery needs.
+
+The group is built once at import, breadth-first from the H and S matrices,
+so sign conventions are fixed by linear algebra rather than by hand.  The
+24 elements are interned singletons, each with an ``index`` in ``ELEMENTS``,
+and every group operation is a lookup in tables filled at that time: the
+X, Y and Z images, the 24x24 product table, the inverse and the Pauli
+factorization.  This is the integer vertex-operator algebra of Anders and
+Briegel (Phys. Rev. A 73, 022334 (2006)), kept behind ``Clifford1`` objects.
 """
 
 from __future__ import annotations
@@ -31,72 +37,61 @@ def _conj_image(mat: np.ndarray, axis: int) -> tuple[int, int]:
     """Return (axis, sign_bit) of mat P mat^dagger for Pauli axis P."""
     img = mat @ _MAT_PAULI[axis] @ mat.conj().T
     for ax, pm in _MAT_PAULI.items():
-        if np.allclose(img, pm, atol=1e-9):
-            return ax, 0
-        if np.allclose(img, -pm, atol=1e-9):
-            return ax, 1
+        # tr(P img) / 2 is +-1 exactly when img = +-P: both have norm sqrt(2).
+        overlap = np.vdot(pm, img).real / 2
+        if abs(abs(overlap) - 1) < 1e-9:
+            return ax, int(overlap < 0)
     raise AssertionError("conjugation image is not a signed Pauli")
 
 
 class Clifford1:
     """A single-qubit Clifford, identified by its action on X and Z.
 
-    Attributes:
+    Only this module creates elements, one per group element, so equality is
+    identity.  Attributes:
+        index: position in ``ELEMENTS``.
         x_axis, x_sign: image of X under conjugation, U X U^dag = (-1)^x_sign P.
         z_axis, z_sign: image of Z.
         word: a decomposition into "H"/"S" letters, leftmost applied last.
         name: short label ("I", "H", "S", "SDG", "X", ... or the word itself).
     """
 
-    __slots__ = ("x_axis", "x_sign", "z_axis", "z_sign", "word", "name")
+    __slots__ = ("index", "x_axis", "x_sign", "z_axis", "z_sign", "word", "name",
+                 "_images", "_products", "_inverse", "_factor")
 
-    def __init__(self, x_axis, x_sign, z_axis, z_sign, word="", name=""):
+    def __init__(self, index, x_axis, x_sign, z_axis, z_sign, word):
+        self.index = index
         self.x_axis = x_axis
         self.x_sign = x_sign
         self.z_axis = z_axis
         self.z_sign = z_sign
         self.word = word
-        self.name = name
+        self.name = word
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.x_axis, self.x_sign, self.z_axis, self.z_sign)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Clifford1) and self.key() == other.key()
-
     def __hash__(self) -> int:
-        return hash(self.key())
+        return self.index
 
     def __repr__(self) -> str:
-        return f"Clifford1({self.name or self.word or self.key()})"
+        return f"Clifford1({self.name})"
 
-    # -- group structure ---------------------------------------------------
+    # -- group structure: lookups in the tables _build_tables fills ---------
 
     def conj_pauli(self, axis: int, sign: int = 0) -> tuple[int, int]:
-        """Image (axis, sign) of a signed Pauli under U . U^dagger.
-
-        Y images are derived from the X and Z images via Y = iXZ, which keeps
-        every sign consistent with the generating matrices.
-        """
-        if axis == _AX_X:
-            return self.x_axis, (self.x_sign + sign) & 1
-        if axis == _AX_Z:
-            return self.z_axis, (self.z_sign + sign) & 1
-        # U Y U^dag = i (U X U^dag)(U Z U^dag)
-        ax, s = _mul_pauli_axes(self.x_axis, self.z_axis)
-        return ax, (s + self.x_sign + self.z_sign + sign) & 1
+        """Image (axis, sign) of a signed Pauli under U . U^dagger."""
+        return self._images[axis][sign]
 
     def compose(self, other: "Clifford1") -> "Clifford1":
         """self o other: the Clifford applying `other` first, then `self`."""
-        xa, xs = self.conj_pauli(other.x_axis, other.x_sign)
-        za, zs = self.conj_pauli(other.z_axis, other.z_sign)
-        return _ELEMENTS_BY_KEY[(xa, xs, za, zs)]
+        return self._products[other.index]
 
     def inverse(self) -> "Clifford1":
-        return _INVERSES[self.key()]
+        return self._inverse
 
     def is_identity(self) -> bool:
-        return self.key() == (_AX_X, 0, _AX_Z, 0)
+        return self is IDENTITY
 
     def is_pauli(self) -> bool:
         """True for I, X, Y, Z (axes fixed, only signs flipped)."""
@@ -108,86 +103,69 @@ class Clifford1:
         Returns ((x_bit, z_bit), rep): P = X^x_bit Z^z_bit up to phase, and
         rep is the unique element with the same axis images and zero signs.
         """
-        rep = _ELEMENTS_BY_KEY[(self.x_axis, 0, self.z_axis, 0)]
-        p = self.compose(rep.inverse())
-        if not p.is_pauli():
-            raise AssertionError("coset factor is not a Pauli")
-        # P X P^dag sign flip <=> P contains Z; P Z P^dag flip <=> contains X.
-        return (p.z_sign, p.x_sign), rep
+        return self._factor
 
 
-def _mul_pauli_axes(a: int, b: int) -> tuple[int, int]:
-    """Product of two Pauli axes: sigma_a sigma_b = (+-1 or +-i) sigma_c.
-
-    Only ever called with a != b here (via Y = iXZ), where the i from the
-    definition cancels the i from the product; return (axis, sign_bit) of
-    i * sigma_a * sigma_b restricted to the cases used by conj_pauli.
-    """
-    if a == b:
-        raise AssertionError("degenerate axis product")
-    # i*X*Z = Y by definition; cyclic signs follow from the algebra.
-    table = {
-        (_AX_X, _AX_Z): (_AX_Y, 0),
-        (_AX_Z, _AX_X): (_AX_Y, 1),
-        (_AX_X, _AX_Y): (_AX_Z, 1),
-        (_AX_Y, _AX_X): (_AX_Z, 0),
-        (_AX_Y, _AX_Z): (_AX_X, 1),
-        (_AX_Z, _AX_Y): (_AX_X, 0),
-    }
-    return table[(a, b)]
+def _element(index: int, mat: np.ndarray, word: str) -> Clifford1:
+    """The element realized by ``mat``, with its X, Y and Z images."""
+    images = [_conj_image(mat, axis) for axis in (_AX_X, _AX_Y, _AX_Z)]
+    el = Clifford1(index, *images[_AX_X], *images[_AX_Z], word)
+    el._images = tuple(((ax, s), (ax, s ^ 1)) for ax, s in images)
+    return el
 
 
 def _build_group() -> tuple[dict, list]:
     """BFS over <H, S> collecting all 24 actions with shortest words."""
-    by_key: dict[tuple, Clifford1] = {}
+    ident = _element(0, _MAT_I, "")
+    by_key = {ident.key(): ident}
     frontier = [(_MAT_I, "")]
-    ident = Clifford1(*_conj_image(_MAT_I, _AX_X), *_conj_image(_MAT_I, _AX_Z), "", "I")
-    by_key[ident.key()] = ident
     while frontier:
         nxt = []
         for mat, word in frontier:
             for gmat, letter in ((_MAT_H, "H"), (_MAT_S, "S")):
                 m2 = gmat @ mat
-                w2 = letter + word
-                xa, xs = _conj_image(m2, _AX_X)
-                za, zs = _conj_image(m2, _AX_Z)
-                key = (xa, xs, za, zs)
-                if key not in by_key:
-                    by_key[key] = Clifford1(xa, xs, za, zs, w2, w2)
-                    nxt.append((m2, w2))
+                el = _element(len(by_key), m2, letter + word)
+                if el.key() not in by_key:
+                    by_key[el.key()] = el
+                    nxt.append((m2, el.word))
         frontier = nxt
     assert len(by_key) == 24
     return by_key, list(by_key.values())
 
 
+def _build_tables(by_key: dict, elements: list) -> None:
+    """Fill every element's product row, inverse and Pauli factorization
+    from the images alone: (a o b) maps X to a's image of b's image of X."""
+    for a in elements:
+        a._products = tuple(
+            by_key[a._images[b.x_axis][b.x_sign] + a._images[b.z_axis][b.z_sign]]
+            for b in elements)
+    ident = by_key[(_AX_X, 0, _AX_Z, 0)]
+    for a in elements:
+        a._inverse = next(b for b in elements if a._products[b.index] is ident)
+    for a in elements:
+        rep = by_key[(a.x_axis, 0, a.z_axis, 0)]
+        p = a._products[rep._inverse.index]
+        if not p.is_pauli():
+            raise AssertionError("coset factor is not a Pauli")
+        # P X P^dag sign flip <=> P contains Z; P Z P^dag flip <=> contains X.
+        a._factor = ((p.z_sign, p.x_sign), rep)
+
+
 _ELEMENTS_BY_KEY, ELEMENTS = _build_group()
+_build_tables(_ELEMENTS_BY_KEY, ELEMENTS)
 
 # Friendly names for the elements that have common ones.
 _ALIASES = {
     "": "I",
-    "S": "S",
     "SSS": "SDG",
-    "H": "H",
     "SS": "Z",
     "HSSH": "X",
 }
 for _el in ELEMENTS:
-    if _el.word in _ALIASES:
-        _el.name = _ALIASES[_el.word]
-    else:
-        _el.name = _el.word
-# Y = X.Z composed; tag it.
-for _el in ELEMENTS:
+    _el.name = _ALIASES.get(_el.word, _el.word)
     if _el.key() == (_AX_X, 1, _AX_Z, 1):
         _el.name = "Y"
-        _el.word = _el.word or "SSHSSH"
-
-_INVERSES = {}
-for _a in ELEMENTS:
-    for _b in ELEMENTS:
-        if _a.compose(_b).is_identity():
-            _INVERSES[_a.key()] = _b
-            break
 
 _BY_NAME = {el.name: el for el in ELEMENTS}
 _BY_WORD = {el.word: el for el in ELEMENTS}

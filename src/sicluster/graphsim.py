@@ -16,9 +16,11 @@ and one vertex operator (VOP) ``U_v`` per qubit and updates both in place:
   :meth:`GraphState.measure_pauli_inplace`, and the measured qubit stays as
   an isolated eigenstate.
 
-Cost per operation scales with the degrees involved, not with the number of
-qubits, which is what lets lattice protocols of 10^4 sites run in well under
-a second.  Outcomes are drawn exactly as the tableau draws them (one
+A VOP is an element of :mod:`sicluster.cliffords`, so composing two,
+conjugating a Pauli and inverting are table lookups; a qubit missing from
+``vertex_ops`` carries the identity.  Cost per operation scales with the
+degrees involved, not with the number of qubits, which is what lets lattice
+protocols of 10^4 sites run in well under a second.  Outcomes are drawn exactly as the tableau draws them (one
 ``draw_sign_bit`` per random outcome, none for a deterministic one), so a
 seed yields the same transcript on either engine.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from sicluster import cliffords
-from sicluster.cliffords import Clifford1
+from sicluster.cliffords import IDENTITY, Clifford1
 from sicluster.graphstate import _AXIS_OF, _LC_NEIGHBOR, _LC_SELF, GraphState, _basis_name
 from sicluster.rng import draw_sign_bit
 from sicluster.tableau import MAX_TABLEAU_BYTES, REDUCTION_OPS, graph_from_stab_matrix
@@ -90,8 +92,8 @@ class GraphSimulator(GraphState):
         return sim
 
     def _apply(self, q: int, el: Clifford1) -> None:
-        new = el.compose(self.op(q))
-        if new.is_identity():
+        new = el.compose(self.vertex_ops.get(q, IDENTITY))
+        if new is IDENTITY:
             self.vertex_ops.pop(q, None)
         else:
             self.vertex_ops[q] = new
@@ -102,11 +104,11 @@ class GraphSimulator(GraphState):
             raise IndexError(f"qubit {q} out of range")
         self._apply(q, cliffords.by_name(name.upper()))
 
-    def _reduce(self, x: int, partner: int) -> bool:
-        """Make x's VOP preserve the Z axis without touching the partner's
-        VOP beyond a Z-axis rotation.  Returns False when no move applies:
-        x then maps X to +-Z and has no neighbour but the partner."""
-        moves = _ZP_MOVES[self.op(x)]
+    def _reduce(self, x: int, ux: Clifford1, partner: int) -> bool:
+        """Make x's VOP ``ux`` preserve the Z axis without touching the
+        partner's VOP beyond a Z-axis rotation.  Returns False when no move
+        applies: x then maps X to +-Z and has no neighbour but the partner."""
+        moves = _ZP_MOVES[ux]
         if not moves:
             return False
         if moves[0] == "n":
@@ -123,8 +125,9 @@ class GraphSimulator(GraphState):
             raise ValueError("CZ targets must be distinct")
         if a not in self._adj or b not in self._adj:
             raise IndexError(f"qubit out of range in CZ({a}, {b})")
+        vops = self.vertex_ops
         while True:
-            ua, ub = self.op(a), self.op(b)
+            ua, ub = vops.get(a, IDENTITY), vops.get(b, IDENTITY)
             if ua.z_axis == _Z and ub.z_axis == _Z:
                 # CZ (P_a D_a)(P_b D_b) = (P_a Z_a^[P_b=X] D_a)(P_b Z_b^[P_a=X] D_b) CZ
                 # for diagonal D and P in {I, X}; P = X exactly when Z -> -Z.
@@ -139,12 +142,12 @@ class GraphSimulator(GraphState):
                 if ua.z_sign:
                     self._apply(b, cliffords.Z)
                 return
-            if self._reduce(a, b) or self._reduce(b, a):
+            if self._reduce(a, ua, b) or self._reduce(b, ub, a):
                 continue
             # An endpoint x that is left maps X to +-Z and has no neighbour
             # but its partner p, so its generator is +-Z_x (U_p Z U_p^dag).
-            x, p = (a, b) if ua.z_axis != _Z else (b, a)
-            ux, up = self.op(x), self.op(p)
+            # A reduction that returns False changed nothing: ua, ub hold.
+            x, p, ux, up = (a, b, ua, ub) if ua.z_axis != _Z else (b, a, ub, ua)
             if not self._adj[x]:
                 # x is |0> or |1>: CZ acts as Z^x on p.
                 if ux.x_sign:
@@ -168,14 +171,14 @@ class GraphSimulator(GraphState):
         if q not in self._adj:
             raise IndexError(f"qubit {q} out of range")
         axis = _AXIS_OF[_basis_name(basis)]
-        eff_axis, eff_sign = self.op(q).inverse().conj_pauli(axis, 0)
+        eff_axis, eff_sign = self.vertex_ops.get(q, IDENTITY).inverse().conj_pauli(axis)
         if eff_axis == _X and not self._adj[q]:
             return (1 if eff_sign == 0 else -1), True
         outcome = -1 if draw_sign_bit(rng, 0.5) else 1
         self.measure_pauli_inplace(q, basis, outcome)
         self._adj[q] = set()
         el = _EIGEN_VOP[(axis, outcome)]
-        if not el.is_identity():
+        if el is not IDENTITY:
             self.vertex_ops[q] = el
         return outcome, False
 
@@ -195,7 +198,8 @@ class GraphSimulator(GraphState):
                     raise ValueError(
                         f"cannot restrict to {len(keep)} qubits: kept qubit {v} "
                         f"is entangled with dropped qubit {u}")
-        ops = [self.op(v) for v in keep]
+        vops = self.vertex_ops
+        ops = [vops.get(v, IDENTITY) for v in keep]
         if all(op.z_axis == _Z for op in ops):
             # Generator of v: +-(X or Y)_v prod_u +-Z_u: the X block is
             # already the identity, so the reduction is read off per vertex.
@@ -205,7 +209,7 @@ class GraphSimulator(GraphState):
                 s = ops[i].x_axis == _Y
                 z = ops[i].x_sign ^ s
                 for u in self._adj[v]:
-                    z ^= self.op(u).z_sign
+                    z ^= vops.get(u, IDENTITY).z_sign
                 el = REDUCTION_OPS[(False, s, bool(z))]
                 if el is not None:
                     out_ops[i] = el

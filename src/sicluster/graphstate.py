@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 
 from sicluster import cliffords
-from sicluster.cliffords import Clifford1
+from sicluster.cliffords import IDENTITY, Clifford1
 
 _AXIS_OF = {"X": 0, "Y": 1, "Z": 2}
 
 # Largest donor lattice or generated cluster, in sites.  A standard-protocol
-# build peaks at about 3.9 KB per site (1.39 GB at 600x600, measured on a
-# 2-core 8 GB machine), so 10^6 sites stay within about 3.9 GB, half of it.
+# build and its JSON and DOT export peak at about 3.1 KB per site (1.03 GiB
+# at 600x600, measured on a 2-core 8 GB machine), so 10^6 sites stay within
+# about 3.1 GB, under half of it.
 MAX_SITES = 10**6
 
 
@@ -91,6 +92,19 @@ class GraphState:
         self._adj: dict[int, set[int]] = {int(v): set() for v in vertices}
         for u, v in edges:
             self._add_edge(int(u), int(v))
+        self._set_vertex_ops(vertex_ops)
+
+    @classmethod
+    def adopt(cls, adj: dict[int, set[int]], vertex_ops=None) -> "GraphState":
+        """A graph state that takes ``adj`` (vertex -> neighbour set) as its
+        own adjacency, without copying it; :meth:`validate` checks it first."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        g.validate()
+        g._set_vertex_ops(vertex_ops)
+        return g
+
+    def _set_vertex_ops(self, vertex_ops) -> None:
         self.vertex_ops: dict[int, Clifford1] = {}
         if vertex_ops:
             for v, op in vertex_ops.items():
@@ -120,6 +134,9 @@ class GraphState:
                     out.append((v, u))
         return sorted(out)
 
+    def edge_count(self) -> int:
+        return sum(map(len, self._adj.values())) // 2
+
     def neighbors(self, v: int) -> set[int]:
         return set(self._adj[v])
 
@@ -130,7 +147,7 @@ class GraphState:
         return v in self._adj.get(u, ())
 
     def op(self, v: int) -> Clifford1:
-        return self.vertex_ops.get(v, cliffords.IDENTITY)
+        return self.vertex_ops.get(v, IDENTITY)
 
     @property
     def n(self) -> int:
@@ -158,7 +175,7 @@ class GraphState:
             if v in nbrs:
                 raise AssertionError(f"self-loop at {v}")
             for u in nbrs:
-                if v not in self._adj[u]:
+                if v not in self._adj.get(u, ()):
                     raise AssertionError(f"asymmetric edge ({v},{u})")
 
     def __eq__(self, other) -> bool:
@@ -166,7 +183,7 @@ class GraphState:
                 and self.vertex_ops == other.vertex_ops)
 
     def __repr__(self) -> str:
-        return f"GraphState(n={self.n}, edges={len(self.edges())})"
+        return f"GraphState(n={self.n}, edges={self.edge_count()})"
 
     # -- spec operations ------------------------------------------------------
 
@@ -211,8 +228,8 @@ class GraphState:
             self._compose_op(u, _LC_NEIGHBOR)
 
     def _compose_op(self, v: int, correction: Clifford1) -> None:
-        new = self.op(v).compose(correction)
-        if new.is_identity():
+        new = self.vertex_ops.get(v, IDENTITY).compose(correction)
+        if new is IDENTITY:
             self.vertex_ops.pop(v, None)
         else:
             self.vertex_ops[v] = new
@@ -237,7 +254,7 @@ class GraphState:
             raise ValueError("outcome must be +1 or -1")
         name = _basis_name(basis)
         adj = self._adj
-        u_v = self.vertex_ops.get(v, cliffords.IDENTITY)
+        u_v = self.vertex_ops.get(v, IDENTITY)
         eff_axis, eff_sign = u_v.inverse().conj_pauli(_AXIS_OF[name], 0)
         m_eff = outcome if eff_sign == 0 else -outcome
         nbrs = sorted(adj[v])

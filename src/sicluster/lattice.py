@@ -310,7 +310,11 @@ class _StatevectorBackend(DenseRegister):
 
 
 def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
-    """Split vertex operators into Pauli frame bits and coset representatives."""
+    """Split vertex operators into Pauli frame bits and coset representatives.
+
+    The graph adopts the extracted adjacency sets as its own, after checking
+    that they cover exactly the sites, symmetrically and without self-loops.
+    """
     frame = PauliFrame()
     coset_ops = {}
     for v, op in ops.items():
@@ -321,8 +325,9 @@ def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
             frame.flip_z(v)
         if not rep.is_identity():
             coset_ops[v] = rep
-    edges = [(v, u) for v, nbrs in adj.items() for u in nbrs if u > v]
-    graph = GraphState(range(n_sites), edges, coset_ops)
+    if adj.keys() != set(range(n_sites)):
+        raise AssertionError("extracted graph does not cover the sites")
+    graph = GraphState.adopt(adj, coset_ops)
     return graph, frame
 
 
@@ -356,9 +361,11 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
         adj, ops = be.extract_nuclear_graph()
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+    name = be.name
+    del be  # free the engine before assembly, so it never coexists with the graph
     graph, frame = _assemble_graph(lattice.n_sites, adj, ops)
     return RunResult(graph=graph, outcomes=outcomes, frame=frame,
-                     backend=be.name, n_sites=lattice.n_sites)
+                     backend=name, n_sites=lattice.n_sites)
 
 
 def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRecord:

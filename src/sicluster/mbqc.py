@@ -240,13 +240,11 @@ def _effective_angle(st: MeasurementStep, outcomes: dict[int, int]) -> float:
 
 def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
     if input_state is None:
-        reg = DenseRegister(rng)
+        reg = DenseRegister(rng, adjacency=cluster._adj)
     elif input_state.n != len(pattern.inputs):
         raise PatternError("input state size does not match pattern inputs")
     else:
-        reg = DenseRegister(rng, pattern.inputs, input_state.psi)
-    for u, v in cluster.edges():
-        reg.cz(u, v)
+        reg = DenseRegister(rng, pattern.inputs, input_state.psi, cluster._adj)
     outcomes: dict[int, int] = {}
     order: list[int] = []
     for st in pattern.steps:
@@ -262,7 +260,9 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
         rho = mat @ mat.conj().T
         purity = float(np.real(np.trace(rho @ rho)))
         if purity < 1 - 1e-9:
-            stragglers = [v for v in cluster.vertices() if v not in outcomes and v not in outs]
+            # Name the unmeasured vertices the array holds beside the outputs:
+            # those the outputs can be entangled with.
+            stragglers = sorted(v for v in reg.axes if v not in outs)
             raise PatternError(
                 "pattern leaves unmeasured vertices entangled with the outputs: "
                 f"{stragglers} (purity {purity:.6f})")

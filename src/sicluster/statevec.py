@@ -274,13 +274,16 @@ class DenseRegister:
     CZ is a Z on the partner when the qubit reads 1.
     """
 
-    def __init__(self, rng, labels=(), psi=None):
+    def __init__(self, rng, labels=(), psi=None, adjacency=None):
         # The array starts empty or holds psi, labels[0] on its leading axis.
+        # A graph's ``adjacency`` (qubit -> partner set, each edge listed at
+        # both ends) starts one CZ per edge pending.
         self.rng = rng
         self.sv = StateVector(len(labels), psi)
         self.axes: list = list(labels)
         self.single: dict = {}
-        self.pending: dict = {}  # qubit -> deferred CZ partners
+        self.pending: dict = {  # qubit -> deferred CZ partners
+            q: set(partners) for q, partners in (adjacency or {}).items() if partners}
 
     def _attach(self, *qubits) -> None:
         """Move the detached qubits among ``qubits`` into sv as leading axes,

@@ -340,6 +340,17 @@ class TestMbqc:
         assert rc == EXIT_CONFIG
         assert "entangled with the outputs" in capsys.readouterr().err
 
+    def test_dense_straggler_refusal_names_only_the_entangled_vertex(self, tmp_path, capsys):
+        # The wire 0-1-11-21-20 detours round dead vertex 10, which stays
+        # unmeasured next to it.  The other 89 unmeasured vertices lie beyond
+        # the ring of Z readouts round the wire and never join the dense
+        # array, so the refusal names 10 alone.
+        rc = run_cli(["mbqc", "--cluster", "grid:10x10", "--carve", "0:20",
+                      "--dead-vertices", "10", "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "entangled with the outputs: [10] (purity" in err
+
 
 class TestTiming:
     def test_table_values(self, tmp_path):

@@ -102,3 +102,63 @@ def test_by_name_lookup():
         assert cl.by_name(name).name == name
     with pytest.raises(KeyError):
         cl.by_name("Q")
+
+
+# -- the lookup tables against 2x2 matrices built here from the H/S words ----
+
+_H = np.array([[1, 1], [1, -1]], complex) / np.sqrt(2)
+_S = np.diag([1, 1j])
+_PAULIS = [np.array([[0, 1], [1, 0]], complex),
+           np.array([[0, -1j], [1j, 0]], complex),
+           np.diag([1, -1]).astype(complex)]
+
+
+def _word_matrix(word: str) -> np.ndarray:
+    mat = np.eye(2, dtype=complex)
+    for letter in reversed(word):
+        mat = (_H if letter == "H" else _S) @ mat
+    return mat
+
+
+def _same_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
+    i = np.unravel_index(np.argmax(abs(b)), b.shape)
+    return np.allclose(a * (b[i] / a[i]), b, atol=1e-9)
+
+
+def test_product_table_matches_matrix_products():
+    for a in cl.ELEMENTS:
+        for b in cl.ELEMENTS:
+            assert _same_up_to_phase(_word_matrix(a.compose(b).word),
+                                     _word_matrix(a.word) @ _word_matrix(b.word))
+
+
+def test_conj_pauli_table_matches_matrices():
+    for el in cl.ELEMENTS:
+        m = _word_matrix(el.word)
+        for axis in range(3):
+            for sign in (0, 1):
+                ax, s = el.conj_pauli(axis, sign)
+                img = m @ ((-1) ** sign * _PAULIS[axis]) @ m.conj().T
+                assert np.allclose(img, (-1) ** s * _PAULIS[ax], atol=1e-9)
+
+
+def test_inverse_table_matches_matrix_inverse():
+    for el in cl.ELEMENTS:
+        assert _same_up_to_phase(_word_matrix(el.inverse().word),
+                                 np.linalg.inv(_word_matrix(el.word)))
+
+
+def test_pauli_factor_table_matches_matrix_factorization():
+    for el in cl.ELEMENTS:
+        (xb, zb), rep = el.pauli_factor()
+        p = np.linalg.matrix_power(_PAULIS[0], xb) @ np.linalg.matrix_power(_PAULIS[2], zb)
+        assert _same_up_to_phase(_word_matrix(el.word), p @ _word_matrix(rep.word))
+        m = _word_matrix(rep.word)
+        for axis in (0, 2):  # the representative flips no sign
+            img = m @ _PAULIS[axis] @ m.conj().T
+            assert any(np.allclose(img, q, atol=1e-9) for q in _PAULIS)
+
+
+def test_identity_is_the_only_identity():
+    assert [el for el in cl.ELEMENTS if el.is_identity()] == [cl.IDENTITY]
+    assert all(cl.ELEMENTS[el.index] is el for el in cl.ELEMENTS)

@@ -309,3 +309,25 @@ def test_grid_graph_shape():
     assert g.n == 6
     assert g.degree(0) == 2  # corner
     assert sorted(g.neighbors(3)) == [1, 2, 5]  # (1,1): up (1,0)=2, left(0,1)=1, right(2,1)=5
+
+
+class TestAdopt:
+    def test_adopts_the_sets_it_is_given(self):
+        adj = {0: {1}, 1: {0, 2}, 2: {1}}
+        g = GraphState.adopt(adj, {2: cliffords.S, 0: cliffords.IDENTITY})
+        assert g._adj is adj
+        assert g == GraphState(range(3), [(0, 1), (1, 2)], {2: cliffords.S})
+        assert g.edge_count() == 2
+
+    @pytest.mark.parametrize("adj", [
+        {0: {1}, 1: set()},  # asymmetric
+        {0: {0}},  # self-loop
+        {0: {5}},  # neighbour that is no vertex
+    ])
+    def test_refuses_a_malformed_adjacency(self, adj):
+        with pytest.raises(AssertionError):
+            GraphState.adopt(adj)
+
+    def test_refuses_ops_on_unknown_vertices(self):
+        with pytest.raises(KeyError):
+            GraphState.adopt({0: set()}, {3: cliffords.H})

@@ -1,5 +1,7 @@
 """Measurement patterns, adaptive execution, carving, logical verification."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -301,6 +303,22 @@ def dense_patterns(draw):
     return GraphState(range(n), edges), pattern, input_state, draw(st.integers(0, 2**16))
 
 
+_STRAGGLER_REFUSAL = re.compile(r"(.*: )\[([\d, ]+)\]( \(purity .*\))")
+
+
+def _assert_same_refusal(new: str, old: str) -> None:
+    """The same refusal, except for the stragglers it names: the eager
+    executor names every unmeasured non-output vertex, the deferred one only
+    those its array holds beside the outputs, a non-empty subset."""
+    m_new, m_old = _STRAGGLER_REFUSAL.fullmatch(new), _STRAGGLER_REFUSAL.fullmatch(old)
+    if m_old is None:
+        assert new == old
+        return
+    assert m_new is not None and m_new.group(1, 3) == m_old.group(1, 3)
+    named = {int(v) for v in m_new.group(2).split(",")}
+    assert named <= {int(v) for v in m_old.group(2).split(",")}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=dense_patterns())
@@ -317,7 +335,8 @@ def test_deferred_dense_executor_matches_eager_one(case):
     new, old = results
     assert coins[0] == coins[1]
     if isinstance(old, PatternError):
-        assert isinstance(new, PatternError) and str(new) == str(old)
+        assert isinstance(new, PatternError)
+        _assert_same_refusal(str(new), str(old))
         return
     assert (new.outcomes, new.order, new.frame) == (old.outcomes, old.order, old.frame)
     assert 1 - new.output_state.fidelity(old.output_state) < 1e-12
