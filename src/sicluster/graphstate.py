@@ -24,9 +24,9 @@ from sicluster.cliffords import IDENTITY, Clifford1
 _AXIS_OF = {"X": 0, "Y": 1, "Z": 2}
 
 # Largest donor lattice or generated cluster, in sites.  A standard-protocol
-# build and its JSON and DOT export peak at about 3.1 KB per site (1.03 GiB
+# build and its JSON and DOT export peak at about 2.7 KB per site (945 MiB
 # at 600x600, measured on a 2-core 8 GB machine), so 10^6 sites stay within
-# about 3.1 GB, under half of it.
+# about 2.7 GB, under half of it.
 MAX_SITES = 10**6
 
 
@@ -54,22 +54,17 @@ def _basis_name(basis) -> str:
 
 
 class MeasurementOutcomeRecord:
-    """Ordered record of (vertex, basis, outcome) triples, each vertex once.
+    """Ordered record of (vertex, basis, outcome) triples.
 
-    Protocol transcripts that re-prepare and re-measure a qubit (the square
-    lattice variant does) construct the record with ``allow_repeats=True``;
-    each entry then refers to one preparation lifetime of the qubit.
+    A qubit that is re-prepared and measured again (the square-lattice
+    variant re-measures its electrons) has one entry per preparation
+    lifetime.
     """
 
-    def __init__(self, allow_repeats: bool = False):
+    def __init__(self):
         self._entries: list[tuple[int, str, int]] = []
-        self._seen: set[int] = set()
-        self._allow_repeats = allow_repeats
 
     def append(self, vertex: int, basis, outcome: int) -> None:
-        if vertex in self._seen and not self._allow_repeats:
-            raise ValueError(f"vertex {vertex} measured twice")
-        self._seen.add(vertex)
         self._entries.append((vertex, _basis_name(basis), outcome))
 
     def entries(self) -> list[tuple[int, str, int]]:

@@ -9,9 +9,9 @@ measurement fuses the nuclei the electron touched into a clique, which is
 what turns three C-phase rounds plus two orthogonal shuttles into a
 triangle-union cluster state on the nuclei.
 
-Qubits are numbered per site (nuclear = 2*site, electron = 2*site + 1); no
-engine depends on the numbering.  Output graphs are indexed by site id =
-i * ly + j for site (i, j).
+Qubits are numbered per site by ``nucleus`` (2*site) and ``electron``
+(2*site + 1); no engine depends on the numbering.  Output graphs are indexed
+by site id = i * ly + j for site (i, j).
 
 One walker interprets every script: it validates the steps, shuttles the
 electrons, measures out in Z those that leave the lattice, land on a dead
@@ -137,42 +137,34 @@ CANONICAL_PROTOCOLS = {
 # -- lattice ------------------------------------------------------------------
 
 
-@dataclass
-class DonorSite:
-    coords: tuple[int, int]
-    nuclear_qubit: int
-    electron: int | None
-    dead: bool = False
+def nucleus(s):
+    """Nuclear qubit of site ``s`` (an id or an array of ids)."""
+    return 2 * s
+
+
+def electron(s):
+    """Qubit of the electron that starts at site ``s``."""
+    return 2 * s + 1
 
 
 class DonorLattice:
     """An lx-by-ly open-boundary array of donor sites.
 
-    Dead sites never hold an electron and their nuclei stay untouched
-    (degree 0 in every output graph).
+    Dead sites host no donor: they never hold an electron and their nuclei
+    stay untouched (degree 0 in every output graph).
     """
 
-    def __init__(self, lx: int, ly: int, dead=(), populate_electrons: bool = True):
+    def __init__(self, lx: int, ly: int, dead=()):
         if lx < 1 or ly < 1:
             raise ProtocolError("lattice dimensions must be >= 1")
         check_site_cap(lx * ly)
         self.lx = lx
         self.ly = ly
-        self.populate_electrons = populate_electrons
         self.dead: set[tuple[int, int]] = set()
         for i, j in dead:
             if not (0 <= i < lx and 0 <= j < ly):
                 raise ProtocolError(f"dead site ({i},{j}) outside lattice")
             self.dead.add((int(i), int(j)))
-        self.sites: list[DonorSite] = []
-        for i in range(lx):
-            for j in range(ly):
-                s = self.site_id(i, j)
-                is_dead = (i, j) in self.dead
-                electron = None
-                if populate_electrons and not is_dead:
-                    electron = 2 * s + 1
-                self.sites.append(DonorSite((i, j), 2 * s, electron, is_dead))
 
     def site_id(self, i: int, j: int) -> int:
         return i * self.ly + j
@@ -190,10 +182,16 @@ class DonorLattice:
     def n_sites(self) -> int:
         return self.lx * self.ly
 
+    def live_sites(self) -> np.ndarray:
+        """Ids of the sites that host a donor, ascending."""
+        live = np.ones(self.n_sites, bool)
+        live[[self.site_id(i, j) for i, j in self.dead]] = False
+        return np.flatnonzero(live)
+
     def initial_electrons(self) -> dict[int, int]:
-        """site id -> electron qubit id for the initially populated sites."""
-        return {s.nuclear_qubit // 2: s.electron
-                for s in self.sites if s.electron is not None}
+        """site id -> electron qubit, for every live site."""
+        live = self.live_sites()
+        return dict(zip(live.tolist(), electron(live).tolist()))
 
 
 # -- Pauli frame --------------------------------------------------------------
@@ -258,7 +256,7 @@ class _GraphBackend:
         return self.sim.measure(q, basis, self.rng)
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        return self.sim.restricted_graph([2 * s for s in range(self.lattice.n_sites)])
+        return self.sim.restricted_graph(nucleus(np.arange(self.lattice.n_sites)).tolist())
 
 
 class _TableauBackend:
@@ -282,7 +280,7 @@ class _TableauBackend:
         return self.t.measure(q, basis, self.rng)
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        return restricted_stab_graph(self.t, [2 * s for s in range(self.lattice.n_sites)])
+        return restricted_stab_graph(self.t, nucleus(np.arange(self.lattice.n_sites)))
 
 
 class _StatevectorBackend(DenseRegister):
@@ -292,10 +290,9 @@ class _StatevectorBackend(DenseRegister):
     name = "statevector"
 
     def __init__(self, lattice: DonorLattice, rng):
-        n_active = lattice.n_sites + len(lattice.initial_electrons())
-        if n_active > MAX_QUBITS:
-            raise SizeCapError(
-                f"statevector backend needs {n_active} qubits, cap is {MAX_QUBITS}")
+        if lattice.n_sites + 1 > MAX_QUBITS:
+            raise SizeCapError(f"statevector backend needs up to {lattice.n_sites + 1} "
+                               f"qubits, cap is {MAX_QUBITS}")
         super().__init__(rng)
         self.lattice = lattice
 
@@ -303,7 +300,7 @@ class _StatevectorBackend(DenseRegister):
         pass  # the register starts every qubit in |+>
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        psi = self.gather([2 * s for s in range(self.lattice.n_sites)])
+        psi = self.gather(nucleus(np.arange(self.lattice.n_sites)).tolist())
         if psi.ndim != self.lattice.n_sites:
             raise ProtocolError("unmeasured electrons remain in the dense state")
         return restricted_stab_graph(tableau_from_statevector(psi), list(range(psi.ndim)))
@@ -383,29 +380,29 @@ def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRec
         raise ProtocolError("run_protocol prepares both species; see cool_and_prepare")
 
     positions: dict[int, int] = {}  # site id -> electron qubit
-    parked: dict[int, int] = {}  # measured, awaiting re-preparation
-    last_meas: dict[int, tuple[Basis, int]] = {}
-    outcomes = MeasurementOutcomeRecord(allow_repeats=True)
+    # site id -> (electron, basis, recorded outcome), awaiting re-preparation
+    parked: dict[int, tuple[int, Basis, int]] = {}
+    outcomes = MeasurementOutcomeRecord()
     cphase_count = 0
 
-    def measure_and_record(e: int, basis: Basis) -> None:
+    def measure_and_record(e: int, basis: Basis) -> int:
         outcome, _ = be.measure(e, basis)
         if noise is not None:
             outcome = noise.filter_outcome(e, basis, outcome)
         outcomes.append(e, basis, outcome)
-        last_meas[e] = (basis, outcome)
+        return outcome
 
     for step_no, step in enumerate(steps):
         if isinstance(step, PrepareAllPlus):
             if step_no != 0:
                 raise ProtocolError("PrepareAllPlus is only supported as the first step")
             be.prepare()
-            positions = dict(lattice.initial_electrons())
+            positions = lattice.initial_electrons()
             if noise is not None:
                 noise.after_prepare(be, lattice)
         elif isinstance(step, GlobalCPhase):
             for s in sorted(positions):
-                be.cz(positions[s], 2 * s)
+                be.cz(positions[s], nucleus(s))
             cphase_count += 1
         elif isinstance(step, Shuttle):
             if noise is not None:
@@ -429,14 +426,12 @@ def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRec
                               stacklevel=3)
             for s in sorted(positions):
                 e = positions[s]
-                measure_and_record(e, step.basis)
-                parked[s] = e
+                parked[s] = (e, step.basis, measure_and_record(e, step.basis))
             positions = {}
         elif isinstance(step, ReprepareElectronsPlus):
             unrotate = {Basis.X: (), Basis.Y: ("SDG",), Basis.Z: ("H",)}
             for s in sorted(parked):
-                e = parked[s]
-                basis, outcome = last_meas[e]
+                e, basis, outcome = parked[s]
                 for name in unrotate[basis]:
                     be.gate(name, e)
                 if outcome == -1:
@@ -510,6 +505,19 @@ def predicted_graph(lattice: DonorLattice, steps) -> GraphState:
 # -- initialization model -------------------------------------------------------
 
 
+def draw_init_flips(lattice: DonorLattice, p_nuclear: float, p_electron: float,
+                    rng) -> tuple[list[int], list[int]]:
+    """The live qubits that start flipped: each nucleus, then each electron,
+    flips when its draw is below its species' probability.  A species whose
+    probability is 0 draws nothing.  Returns (nuclear, electron) qubits."""
+    live = lattice.live_sites()
+    flips = []
+    for prob, qubits in ((p_nuclear, nucleus(live)), (p_electron, electron(live))):
+        drawn = prob > 0.0 and qubits.size > 0
+        flips.append(qubits[rng.random(qubits.size) < prob].tolist() if drawn else [])
+    return flips[0], flips[1]
+
+
 def cool_and_prepare(lattice: DonorLattice, p_electron: float = 1.0,
                      p_nuclear: float = 1.0, rng=None) -> dict:
     """Model SWAP-cooled initialization followed by global pi/2 pulses.
@@ -523,22 +531,10 @@ def cool_and_prepare(lattice: DonorLattice, p_electron: float = 1.0,
             raise ValueError(f"{name} polarization must be in (0, 1], got {p}")
     if rng is None:
         rng = np.random.default_rng(0)
-    report = {
-        "electron_flip_prob": (1.0 - p_electron) / 2.0,
-        "nuclear_flip_prob": (1.0 - p_nuclear) / 2.0,
-        "electron_flips": [],
-        "nuclear_flips": [],
-    }
-    live = [s for s in lattice.sites if not s.dead]
-    for kind, prob, qubits in (
-        ("nuclear_flips", report["nuclear_flip_prob"], [s.nuclear_qubit for s in live]),
-        ("electron_flips", report["electron_flip_prob"],
-         [s.electron for s in live if s.electron is not None]),
-    ):
-        if prob > 0.0 and qubits:
-            draws = rng.random(len(qubits))
-            report[kind] = [q for q, d in zip(qubits, draws) if d < prob]
-    return report
+    pe, pn = (1.0 - p_electron) / 2.0, (1.0 - p_nuclear) / 2.0
+    nuclear, electrons = draw_init_flips(lattice, pn, pe, rng)
+    return {"electron_flip_prob": pe, "nuclear_flip_prob": pn,
+            "electron_flips": electrons, "nuclear_flips": nuclear}
 
 
 def dense_state_of(result: RunResult) -> StateVector:

@@ -21,6 +21,8 @@ import numpy as np
 from sicluster.lattice import (
     DonorLattice,
     RunResult,
+    draw_init_flips,
+    nucleus,
     predicted_edge_set,
     run_protocol,
 )
@@ -148,20 +150,12 @@ class NoiseInjector:
     # -- protocol hooks -----------------------------------------------------
 
     def after_prepare(self, backend, lattice: DonorLattice) -> None:
-        live = [s for s in lattice.sites if not s.dead]
-        for prob, species, qubits in (
-            (self.dm.p_init_n, "nuclear", [s.nuclear_qubit for s in live]),
-            (self.dm.p_init_e, "electron",
-             [s.electron for s in live if s.electron is not None]),
-        ):
-            if prob <= 0.0 or not qubits:
-                continue
-            draws = self._rng_init.random(len(qubits))
-            for q, d in zip(qubits, draws):
-                if d < prob:
-                    # Pre-pulse X flip == Z error after the global pi/2 pulse.
-                    backend.gate("Z", q)
-                    self.error_log.append(("init_x_flip", species, q))
+        flips = draw_init_flips(lattice, self.dm.p_init_n, self.dm.p_init_e, self._rng_init)
+        for species, qubits in zip(("nuclear", "electron"), flips):
+            for q in qubits:
+                # Pre-pulse X flip == Z error after the global pi/2 pulse.
+                backend.gate("Z", q)
+                self.error_log.append(("init_x_flip", species, q))
 
     def before_shuttle(self, backend, electrons: list[int]) -> None:
         step = self._shuttle_step
@@ -186,12 +180,11 @@ class NoiseInjector:
         self.decoherence_prob = self.dephasing_probability(lattice.n_sites)
         if self.decoherence_prob <= 0.0:
             return
-        nuclei = [s.nuclear_qubit for s in lattice.sites if not s.dead]
-        draws = self._rng_dec.random(len(nuclei))
-        for q, d in zip(nuclei, draws):
-            if d < self.decoherence_prob:
-                backend.gate("Z", q)
-                self.error_log.append(("decoherence_z", q))
+        nuclei = nucleus(lattice.live_sites())
+        hit = nuclei[self._rng_dec.random(nuclei.size) < self.decoherence_prob]
+        for q in hit.tolist():
+            backend.gate("Z", q)
+            self.error_log.append(("decoherence_z", q))
 
     def dephasing_probability(self, n_sites: int) -> float:
         t = preparation_time(n_sites, self.tm)
@@ -236,7 +229,7 @@ def dead_pixel_survey(lattice: DonorLattice, dm: DefectModel, steps,
     ``n_pairs`` seeded random live endpoint pairs that lie in one live
     component, which are exactly the pairs ``carve_wire`` connects.
     """
-    if dm.dead <= lattice.dead and lattice.populate_electrons:
+    if dm.dead <= lattice.dead:
         lat = lattice  # the defect model kills no further site
     else:
         lat = DonorLattice(lattice.lx, lattice.ly, dead=lattice.dead | dm.dead)
@@ -245,7 +238,7 @@ def dead_pixel_survey(lattice: DonorLattice, dm: DefectModel, steps,
         adj[u].append(v)
         adj[v].append(u)
     dead_ids = {lat.site_id(i, j) for (i, j) in lat.dead}
-    live = [v for v in adj if v not in dead_ids]
+    live = lat.live_sites().tolist()
 
     label: dict[int, int] = {}  # live vertex -> index of its component
     sizes: list[int] = []

@@ -304,9 +304,9 @@ class StabilizerTableau:
 
     def to_graph_state(self) -> GraphState:
         """Express the state as a graph plus per-vertex local Cliffords."""
-        adj, ops = restricted_stab_graph(self, list(range(self.n)))
-        edges = [(v, u) for v, nbrs in adj.items() for u in nbrs if u > v]
-        return GraphState(range(self.n), edges, ops)
+        n = self.n
+        return GraphState.adopt(*graph_from_stab_matrix(
+            self.x[n:].copy(), self.z[n:].copy(), self.r[n:].copy()))
 
 
 def graph_from_stab_matrix(x, z, r) -> tuple[dict, dict]:
@@ -449,8 +449,7 @@ def tableau_from_stabilizers(gens: list[PauliString]) -> StabilizerTableau:
             raise ValueError("generator size mismatch")
         if g.phase_exp & 1:
             raise ValueError("generators must have +-1 phase")
-    t = StabilizerTableau(n)
-    t.x[n:] = [g.x for g in gens]
-    t.z[n:] = [g.z for g in gens]
-    t.r[n:] = [g.phase_exp == 2 for g in gens]
-    return from_graph_state(t.to_graph_state())
+    x = np.array([g.x for g in gens], bool)
+    z = np.array([g.z for g in gens], bool)
+    r = np.array([g.phase_exp == 2 for g in gens])
+    return from_graph_state(GraphState.adopt(*graph_from_stab_matrix(x, z, r)))

@@ -64,6 +64,7 @@ class TestBuildCluster:
         {"defects": {"eps_meas": 2}},
         {"defects": {"t2n": "long"}},
         {"timing": {"mode": "warp"}},
+        {"defects": {"dead": [[1, 1]]}},  # dead sites are the top-level "dead"
     ])
     def test_bad_model_parameters_are_config_errors(self, tmp_path, model):
         cfg = tmp_path / "cfg.json"
@@ -85,7 +86,7 @@ class TestBuildCluster:
         assert "config error" in capsys.readouterr().err
 
     def test_statevector_cap_exit_code(self, tmp_path):
-        rc = run_cli(["build-cluster", "--size", "4x3", "--backend", "statevector",
+        rc = run_cli(["build-cluster", "--size", "2x11", "--backend", "statevector",
                       "--out", str(tmp_path / "o")])
         assert rc == EXIT_RESOURCE
 
@@ -139,6 +140,7 @@ class TestVerifyProtocol:
         assert rc == 0
         text = out.read_text()
         assert "SKIP" in text
+        assert "PASS square 4x3 backends-agree" in text
         assert "FAIL " not in text
 
     def test_negative_control(self, tmp_path):

@@ -289,16 +289,14 @@ class TestExport:
 
 
 class TestRecord:
-    def test_order_and_uniqueness(self):
+    def test_order(self):
         rec = MeasurementOutcomeRecord()
         rec.append(3, "Y", -1)
         rec.append(1, "Z", 1)
         assert rec.entries() == [(3, "Y", -1), (1, "Z", 1)]
-        with pytest.raises(ValueError):
-            rec.append(3, "X", 1)
 
     def test_repeats_allowed_when_requested(self):
-        rec = MeasurementOutcomeRecord(allow_repeats=True)
+        rec = MeasurementOutcomeRecord()
         rec.append(3, "Y", -1)
         rec.append(3, "Y", 1)
         assert len(rec) == 2

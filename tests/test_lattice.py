@@ -112,8 +112,16 @@ class TestLattice:
 
     def test_dead_sites_hold_no_electron(self):
         lat = DonorLattice(2, 2, dead=[(0, 1)])
-        assert all(s.electron is None for s in lat.sites if s.dead)
-        assert len(lat.initial_electrons()) == 3
+        electrons = lat.initial_electrons()
+        assert lat.site_id(0, 1) not in electrons
+        assert len(electrons) == 3
+
+    def test_live_sites_ascend_with_electrons_at_odd_qubits(self):
+        lat = DonorLattice(3, 4, dead=[(2, 3), (0, 0), (1, 2)])
+        dead_ids = [lat.site_id(i, j) for i, j in lat.dead]
+        want = [s for s in range(12) if s not in dead_ids]
+        assert lat.live_sites().tolist() == want
+        assert lat.initial_electrons() == {s: 2 * s + 1 for s in want}
 
     def test_bad_dims(self):
         with pytest.raises(ProtocolError):
@@ -135,7 +143,7 @@ class TestRunProtocol:
         assert res.graph.n == 1 and res.graph.edges() == []
 
     def test_zero_electron_lattice_all_plus(self):
-        lat = DonorLattice(2, 2, populate_electrons=False)
+        lat = DonorLattice(2, 2, dead=[(0, 0), (0, 1), (1, 0), (1, 1)])
         res = run_protocol(lat, standard_protocol(), rng=np.random.default_rng(0))
         assert res.graph.edges() == []
         assert not res.graph.vertex_ops
@@ -149,7 +157,7 @@ class TestRunProtocol:
         vert = {((i + 1) * 3 + j, (i + 1) * 3 + j + 1) for i in range(2) for j in range(2)}
         assert set(res.graph.edges()) == {tuple(sorted(e)) for e in horiz | vert}
 
-    @pytest.mark.parametrize("lx,ly", [(1, 1), (2, 2), (1, 4), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("lx,ly", [(1, 1), (2, 2), (1, 4), (3, 2), (3, 3), (3, 6)])
     @pytest.mark.parametrize("proto", ["standard", "square"])
     def test_backends_agree_per_seed(self, lx, ly, proto):
         steps = standard_protocol() if proto == "standard" else square_lattice_protocol()
@@ -199,8 +207,9 @@ class TestRunProtocol:
         assert set(res.graph.edges()) == predicted_edge_set(lat, standard_protocol())
 
     def test_statevector_cap(self):
+        # 22 sites may need 23 qubits at one readout: one more than the cap.
         with pytest.raises(SizeCapError):
-            run_protocol(DonorLattice(4, 3), standard_protocol(),
+            run_protocol(DonorLattice(2, 11), standard_protocol(),
                          backend="statevector", rng=np.random.default_rng(0))
 
     def test_dense_readouts_drop_their_qubit(self, monkeypatch):
@@ -681,6 +690,29 @@ class TestCoolAndPrepare:
             cool_and_prepare(DonorLattice(1, 1), 0.0, 1.0)
         with pytest.raises(ValueError):
             cool_and_prepare(DonorLattice(1, 1), 1.0, 1.2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flips_match_the_noise_injector(self, seed):
+        """Polarizations 0.5 and 0.25 are the injector's exact flip
+        probabilities 1/4 and 3/8; the same generator state flips the same
+        live qubits, nuclei first."""
+        lat = DonorLattice(4, 5, dead=[(0, 1), (3, 3)])
+        injector = NoiseInjector(DefectModel(p_init_n=0.25, p_init_e=0.375),
+                                 TimingModel(), seed)
+        gated = []
+
+        class Backend:
+            def gate(self, name, q):
+                gated.append((name, q))
+
+        injector.after_prepare(Backend(), lat)
+        rep = cool_and_prepare(lat, p_electron=0.25, p_nuclear=0.5,
+                               rng=substream(seed, "noise-init"))
+        assert rep["nuclear_flips"] and rep["electron_flips"]
+        assert injector.error_log == (
+            [("init_x_flip", "nuclear", q) for q in rep["nuclear_flips"]]
+            + [("init_x_flip", "electron", q) for q in rep["electron_flips"]])
+        assert gated == [("Z", q) for q in rep["nuclear_flips"] + rep["electron_flips"]]
 
 
 class TestPauliFrame:

@@ -218,13 +218,6 @@ class TestSurvey:
                                                 (set(), dead), ({(0, 1)}, dead)]]
         assert all(rep == reports[0] for rep in reports)
 
-    def test_lattice_without_electrons_is_not_reused(self):
-        steps = standard_protocol()
-        want = dead_pixel_survey(DonorLattice(4, 4), DefectModel(), steps, seed=1)
-        got = dead_pixel_survey(DonorLattice(4, 4, populate_electrons=False), DefectModel(),
-                                steps, seed=1)
-        assert got == want and want["largest_component"] > 1
-
 
 @st.composite
 def defective_lattices(draw):
