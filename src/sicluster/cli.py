@@ -10,6 +10,7 @@ nothing records wall-clock time.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -247,40 +248,49 @@ def cmd_build_cluster(args) -> int:
         dm = DefectModel(**cfg.get("defects", {}))
     except (TypeError, ValueError) as exc:  # JSON values of any type reach here
         raise ConfigError(str(exc)) from exc
-    if args.with_noise:
-        report_noise = inject_noise(lattice, steps, dm, tm, seed=cfg["seed"],
-                                    backend=cfg["backend"])
-        result = report_noise.result
-        error_log = report_noise.error_log
-    else:
-        rng = substream(cfg["seed"], "measure")
-        result = run_protocol(lattice, steps, backend=cfg["backend"], rng=rng)
-        error_log = []
-    n_nuclei = lattice.n_sites
-    report = {
-        "backend": result.backend,
-        "config": {k: cfg[k] for k in ("lx", "ly", "dead", "seed")},
-        "protocol": cfg["protocol"] if isinstance(cfg["protocol"], str) else "custom",
-        "graph": {"vertices": result.graph.n, "edges": result.graph.edge_count()},
-        "outcomes": [[q, b, o] for q, b, o in result.outcomes],
-        "frame": result.frame.as_dict(),
-        "error_log": [list(e) for e in error_log],
-        "timing": {
-            "preparation_time_s": {
-                "sequential": preparation_time(n_nuclei, tm, mode="sequential"),
-                "parallel": preparation_time(n_nuclei, tm, mode="parallel"),
+    # The engine and the export make hundreds of thousands of sets and
+    # strings but no reference cycle: reference counting frees them, and the
+    # cyclic collector would only rescan them.  The caller's setting is restored.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if args.with_noise:
+            report_noise = inject_noise(lattice, steps, dm, tm, seed=cfg["seed"],
+                                        backend=cfg["backend"])
+            result = report_noise.result
+            error_log = report_noise.error_log
+        else:
+            rng = substream(cfg["seed"], "measure")
+            result = run_protocol(lattice, steps, backend=cfg["backend"], rng=rng)
+            error_log = []
+        n_nuclei = lattice.n_sites
+        report = {
+            "backend": result.backend,
+            "config": {k: cfg[k] for k in ("lx", "ly", "dead", "seed")},
+            "protocol": cfg["protocol"] if isinstance(cfg["protocol"], str) else "custom",
+            "graph": {"vertices": result.graph.n, "edges": result.graph.edge_count()},
+            "outcomes": [[q, b, o] for q, b, o in result.outcomes],
+            "frame": result.frame.as_dict(),
+            "error_log": [list(e) for e in error_log],
+            "timing": {
+                "preparation_time_s": {
+                    "sequential": preparation_time(n_nuclei, tm, mode="sequential"),
+                    "parallel": preparation_time(n_nuclei, tm, mode="parallel"),
+                },
+                "figure_of_merit": figure_of_merit(dm.t2n, tm.meas_rate),
             },
-            "figure_of_merit": figure_of_merit(dm.t2n, tm.meas_rate),
-        },
-    }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fmts = ["dot", "json"] if args.format == "both" else [args.format]
-    for fmt in fmts:
-        (out_dir / f"cluster.{fmt}").write_bytes(graphstate.export(result.graph, fmt))
-    (out_dir / "report.json").write_text(_dump_json(report))
-    sys.stdout.write(f"wrote {out_dir}/cluster.{{{','.join(fmts)}}} and report.json "
-                     f"({result.graph.n} vertices, {result.graph.edge_count()} edges)\n")
+        }
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fmts = ["dot", "json"] if args.format == "both" else [args.format]
+        for fmt in fmts:
+            (out_dir / f"cluster.{fmt}").write_bytes(graphstate.export(result.graph, fmt))
+        (out_dir / "report.json").write_text(_dump_json(report))
+        sys.stdout.write(f"wrote {out_dir}/cluster.{{{','.join(fmts)}}} and report.json "
+                         f"({result.graph.n} vertices, {result.graph.edge_count()} edges)\n")
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return EXIT_OK
 
 

@@ -190,7 +190,37 @@ class GraphSimulator(GraphState):
         generators.  Raises ValueError if a kept qubit has a neighbour
         outside ``keep`` (the kept marginal is then mixed), and SizeCapError
         before allocating a fallback reduction above the tableau's byte cap.
+        The engine is left as it was.
         """
+        pos = self._positions(keep)
+        if self._preserves_z(keep):
+            return self._read_off(pos, self._adj.__getitem__)
+        return self._fallback_reduction(keep, pos)
+
+    def take_restricted_graph(self, keep: list[int]) -> tuple[dict, dict]:
+        """:meth:`restricted_graph`, freeing the engine's adjacency as it reads.
+
+        Both refusals come before any change.  When every kept operator
+        preserves Z, the dropped qubits' sets and operators go first and each
+        kept set is popped as its extracted one is built, so the engine's
+        adjacency and the extracted one are never held in full together.
+        The engine's adjacency is then empty and the engine unusable.  The
+        fallback reduction leaves the engine as it was.
+        """
+        pos = self._positions(keep)
+        if not self._preserves_z(keep):
+            return self._fallback_reduction(keep, pos)
+        # A dict keeps its table when entries are deleted, so both are
+        # rebuilt over the kept qubits; the old ones go before the read-off.
+        vops = self.vertex_ops
+        self._adj = {v: self._adj[v] for v in pos}
+        self.vertex_ops = {v: vops[v] for v in pos if v in vops}
+        del vops
+        return self._read_off(pos, self._adj.pop)
+
+    def _positions(self, keep) -> dict[int, int]:
+        """Each kept qubit's position, after refusing a kept qubit that is
+        entangled with a dropped one."""
         pos = {v: i for i, v in enumerate(keep)}
         for v in keep:
             for u in self._adj[v]:
@@ -198,25 +228,37 @@ class GraphSimulator(GraphState):
                     raise ValueError(
                         f"cannot restrict to {len(keep)} qubits: kept qubit {v} "
                         f"is entangled with dropped qubit {u}")
+        return pos
+
+    def _preserves_z(self, keep) -> bool:
         vops = self.vertex_ops
-        ops = [vops.get(v, IDENTITY) for v in keep]
-        if all(op.z_axis == _Z for op in ops):
-            # Generator of v: +-(X or Y)_v prod_u +-Z_u: the X block is
-            # already the identity, so the reduction is read off per vertex.
-            adj, out_ops = {}, {}
-            for i, v in enumerate(keep):
-                adj[i] = {pos[u] for u in self._adj[v]}
-                s = ops[i].x_axis == _Y
-                z = ops[i].x_sign ^ s
-                for u in self._adj[v]:
-                    z ^= vops.get(u, IDENTITY).z_sign
-                el = REDUCTION_OPS[(False, s, bool(z))]
-                if el is not None:
-                    out_ops[i] = el
-            return adj, out_ops
+        return all(vops.get(v, IDENTITY).z_axis == _Z for v in keep)
+
+    def _read_off(self, pos, neighbours) -> tuple[dict, dict]:
+        """The reduction when every kept VOP preserves Z: the generator of v
+        is +-(X or Y)_v prod_u +-Z_u, so the X block is already the identity
+        and the graph is read off per vertex.  ``neighbours(v)`` returns v's
+        adjacency set (and may remove it from the engine)."""
+        vops = self.vertex_ops
+        adj, out_ops = {}, {}
+        for v, i in pos.items():
+            nbrs = neighbours(v)
+            adj[i] = {pos[u] for u in nbrs}
+            op = vops.get(v, IDENTITY)
+            s = op.x_axis == _Y
+            z = op.x_sign ^ s
+            for u in nbrs:
+                z ^= vops.get(u, IDENTITY).z_sign
+            el = REDUCTION_OPS[(False, s, bool(z))]
+            if el is not None:
+                out_ops[i] = el
+        return adj, out_ops
+
+    def _fallback_reduction(self, keep, pos) -> tuple[dict, dict]:
         if 2 * len(keep) ** 2 + len(keep) > MAX_TABLEAU_BYTES:  # two (k, k) blocks, k signs
             raise SizeCapError(f"a {len(keep)}-qubit graph reduction exceeds the "
                                f"{MAX_TABLEAU_BYTES / 2**30:.0f} GiB tableau cap")
+        ops = [self.op(v) for v in keep]
         return graph_from_stab_matrix(*self._generators(keep, pos, ops))
 
     def _generators(self, keep, pos, ops):

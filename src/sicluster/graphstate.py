@@ -24,9 +24,9 @@ from sicluster.cliffords import IDENTITY, Clifford1
 _AXIS_OF = {"X": 0, "Y": 1, "Z": 2}
 
 # Largest donor lattice or generated cluster, in sites.  A standard-protocol
-# build and its JSON and DOT export peak at about 2.7 KB per site (945 MiB
-# at 600x600, measured on a 2-core 8 GB machine), so 10^6 sites stay within
-# about 2.7 GB, under half of it.
+# build and its JSON and DOT export peak at about 1.8 KB per site (644 MiB
+# at 600x600 and 1,689 MiB at 1000x1000, measured on a 2-core 8 GB
+# machine), so 10^6 sites stay under a quarter of it.
 MAX_SITES = 10**6
 
 
@@ -121,13 +121,15 @@ class GraphState:
     def vertices(self) -> list[int]:
         return sorted(self._adj)
 
+    def _upper_walk(self):
+        """Each vertex in ascending order with its higher neighbours, sorted;
+        read in turn, the (vertex, neighbour) pairs are the sorted edges."""
+        adj = self._adj
+        for v in sorted(adj):
+            yield v, sorted([u for u in adj[v] if u > v])
+
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in sorted(self._adj):
-            for u in self._adj[v]:
-                if u > v:
-                    out.append((v, u))
-        return sorted(out)
+        return [(v, u) for v, upper in self._upper_walk() for u in upper]
 
     def edge_count(self) -> int:
         return sum(map(len, self._adj.values())) // 2
@@ -328,33 +330,40 @@ class GraphState:
             frontier = nxt
         return False, None
 
-    # -- export ---------------------------------------------------------------
 
-    def export_dot(self) -> str:
-        lines = ["graph cluster {"]
-        for v in self.vertices():
-            lines.append(f'  {v} [op="{self.op(v).name}"];')
-        for u, v in self.edges():
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def export_json(self) -> str:
-        doc = {
-            "vertices": [{"id": v, "op": self.op(v).name} for v in self.vertices()],
-            "edges": [list(e) for e in self.edges()],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ": ")) + "\n"
+# fmt -> (vertex entry, edge entry, each vertex operator's name as the
+# vertex entry writes it).  A JSON entry ends in the comma that separates it
+# from the next one; export drops the last.
+_FORMATS = {
+    "dot": (b'  %d [op="%s"];\n', b"  %d -- %d;\n",
+            {el: el.name.encode() for el in cliffords.ELEMENTS}),
+    "json": (b'{"id": %d,"op": %s},', b"[%d,%d],",
+             {el: json.dumps(el.name).encode() for el in cliffords.ELEMENTS}),
+}
 
 
 def export(g: GraphState, fmt: str) -> bytes:
-    """Serialize a graph state; fmt is "dot" or "json"."""
+    """Serialize a graph state; fmt is "dot" or "json".
+
+    One ascending walk over the vertices writes each vertex's entry and its
+    edges to higher neighbours, in sorted order, so the edges come out sorted
+    without an edge list.  The JSON is ``json.dumps`` of ``{"vertices":
+    [{"id": v, "op": name}, ...], "edges": [[u, v], ...]}`` with
+    ``sort_keys=True`` and ``separators=(",", ": ")``, plus a newline.
+    """
     fmt = fmt.lower()
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
+    vertex_entry, edge_entry, names = _FORMATS[fmt]
+    nodes, links = bytearray(), bytearray()
+    for v, upper in g._upper_walk():
+        nodes += vertex_entry % (v, names[g.op(v)])
+        for u in upper:
+            links += edge_entry % (v, u)
     if fmt == "dot":
-        return g.export_dot().encode()
-    if fmt == "json":
-        return g.export_json().encode()
-    raise ValueError(f"unknown export format {fmt!r}")
+        return b"".join([b"graph cluster {\n", nodes, links, b"}\n"])
+    del nodes[-1:], links[-1:]
+    return b"".join([b'{"edges": [', links, b'],"vertices": [', nodes, b"]}\n"])
 
 
 def graph_from_json(text: str) -> GraphState:

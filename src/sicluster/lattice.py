@@ -256,7 +256,9 @@ class _GraphBackend:
         return self.sim.measure(q, basis, self.rng)
 
     def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        return self.sim.restricted_graph(nucleus(np.arange(self.lattice.n_sites)).tolist())
+        # The engine's last use: the read-off consumes it.
+        keep = nucleus(np.arange(self.lattice.n_sites)).tolist()
+        return self.sim.take_restricted_graph(keep)
 
 
 class _TableauBackend:

@@ -429,6 +429,28 @@ def tableau_to_statevector(t: StabilizerTableau) -> StateVector:
     raise AssertionError("no basis state overlaps the stabilizer state")
 
 
+def _support_basis(offsets: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+    """Greedy basis of the 2^k sorted support offsets (``offsets[0] == 0``),
+    smallest first, and its span: span[u] is the XOR of the basis vectors
+    picked out by the bits of u.  Raises ValueError unless the offsets form
+    a linear subspace.
+
+    In a subspace each greedy vector's top bit lies above every point of the
+    span before it (a point sharing that bit would XOR with it to a smaller
+    point outside the span), so the span of the first t vectors is the 2^t
+    smallest offsets, listed in order.  The basis is therefore the offsets at
+    positions 1, 2, 4, ..., and one comparison of its span with the offsets
+    checks the whole support.
+    """
+    basis = [int(offsets[1 << j]) for j in range(k)]
+    span = np.zeros(1, np.int64)
+    for b in basis:
+        span = np.concatenate([span, span ^ b])
+    if not np.array_equal(span, offsets):
+        raise ValueError("support is not an affine subspace")
+    return basis, span
+
+
 def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTableau:
     """Reconstruct the stabilizer tableau of a dense stabilizer state.
 
@@ -453,23 +475,8 @@ def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTa
     if 1 << k != d:
         raise ValueError("support size is not a power of two")
 
-    # Greedy basis of the support offsets from t0, smallest first; span[u] is
-    # the XOR of the basis vectors picked out by the bits of u.
     t0 = int(support[0])
-    offsets = np.sort(support ^ t0)
-    in_span = np.zeros(dim, bool)
-    in_span[0] = True
-    span = np.zeros(1, np.int64)
-    basis: list[int] = []
-    while len(basis) <= k:
-        outside = offsets[~in_span[offsets]]
-        if outside.size == 0:
-            break
-        basis.append(int(outside[0]))
-        span = np.concatenate([span, span ^ basis[-1]])
-        in_span[span] = True
-    if len(basis) != k:
-        raise ValueError("support is not an affine subspace")
+    basis, span = _support_basis(np.sort(support ^ t0), k)
 
     c = psi[t0 ^ span] / psi[t0]
     ang = np.angle(c) / (np.pi / 2)

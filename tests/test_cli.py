@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+import gc
 import json
 import os
 import subprocess
@@ -89,6 +90,38 @@ class TestBuildCluster:
         rc = run_cli(["build-cluster", "--size", "2x11", "--backend", "statevector",
                       "--out", str(tmp_path / "o")])
         assert rc == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("argv, rc", [
+        (["--size", "3x3"], 0),
+        (["--size", "2x11", "--backend", "statevector"], EXIT_RESOURCE),
+    ])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cyclic_collector_setting_is_restored(self, tmp_path, argv, rc, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(["build-cluster", *argv, "--out", str(tmp_path / "o")]) == rc
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_build_and_export_run_without_the_cyclic_collector(self, tmp_path, monkeypatch):
+        from sicluster import cli, graphstate
+
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "run_protocol", spy(cli.run_protocol))
+        monkeypatch.setattr(graphstate, "export", spy(graphstate.export))
+        assert gc.isenabled()
+        assert run_cli(["build-cluster", "--size", "3x3", "--out", str(tmp_path / "o")]) == 0
+        assert seen == [("run_protocol", False), ("export", False), ("export", False)]
+        assert gc.isenabled()
 
     def test_custom_protocol_steps_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -449,6 +482,40 @@ for argv in (["build-cluster", "--size", "20000x20000", "--out", {str(tmp_path)!
         assert proc.stdout.split() == [str(EXIT_RESOURCE)] * 5, proc.stderr
         assert proc.stderr.count("resource cap") == 5
         assert not list(tmp_path.iterdir())
+
+    def test_oversized_sigma_x_reduction_refused_in_a_capped_child(self, tmp_path):
+        # X readout of a 1 x 33000 line leaves vertex operators that move the
+        # Z axis, so extraction needs the dense k x k fallback reduction: over
+        # 2 GiB at k = 33000.  It must exit 3 before allocating, and before
+        # the consuming read-off has removed anything from the engine.
+        cfg = tmp_path / "sigma_x.json"
+        cfg.write_text(json.dumps({
+            "lx": 1, "ly": 33000,
+            "protocol": [{"op": "prepare_all_plus"}, {"op": "global_cphase"},
+                         {"op": "shuttle", "direction": "+y"}, {"op": "global_cphase"},
+                         {"op": "measure_electrons", "basis": "X"}]}))
+        out = tmp_path / "out"
+        script = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+from sicluster.cli import main
+from sicluster.graphsim import GraphSimulator
+take = GraphSimulator.take_restricted_graph
+def spy(self, keep):
+    qubits = len(self._adj)
+    try:
+        return take(self, keep)
+    finally:
+        print("engine", qubits, len(self._adj))
+GraphSimulator.take_restricted_graph = spy
+print(main(["build-cluster", "--config", {str(cfg)!r}, "--out", {str(out)!r}]))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.stdout.split() == ["engine", "66000", "66000", str(EXIT_RESOURCE)], proc.stderr
+        assert "a 33000-qubit graph reduction exceeds the 2 GiB tableau cap" in proc.stderr
+        assert not out.exists()
 
     def test_cap_is_inclusive(self):
         from sicluster.graphstate import MAX_SITES, SizeCapError, check_site_cap, line_graph

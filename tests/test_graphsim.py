@@ -182,6 +182,81 @@ def test_oversized_fallback_reduction_refused_before_allocating(monkeypatch):
     assert peak < 2**24
 
 
+def diagonal_ops(n, depth, rng):
+    """CZs, gates that keep the Z axis, and Y/Z readouts: every VOP they
+    leave preserves Z, so a restriction takes the per-vertex read-off."""
+    ops = []
+    for _ in range(depth):
+        r = rng.random()
+        if r < 0.5 and n > 1:
+            a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+            ops.append(("CZ", a, b))
+        elif r < 0.85:
+            ops.append((["S", "SDG", "X", "Y", "Z"][int(rng.integers(5))], int(rng.integers(n))))
+        else:
+            ops.append(("M", int(rng.integers(n)), [Basis.Y, Basis.Z][int(rng.integers(2))]))
+    return ops
+
+
+def engine_state(sim):
+    return {v: set(nbrs) for v, nbrs in sim._adj.items()}, dict(sim.vertex_ops)
+
+
+def test_taken_restriction_matches_restricted_graph():
+    # The consuming read-off returns exactly what restricted_graph returns.
+    # On the read-off branch it empties the engine's adjacency; the fallback
+    # reduction leaves the engine as it was.
+    rng = np.random.default_rng(1900)
+    branches = {"read-off": 0, "fallback": 0}
+    for trial in range(120):
+        n = int(rng.integers(1, 9))
+        make = random_ops if trial % 2 else diagonal_ops
+        sim, _, c_sim, _ = run_pair(make(n, 4 + 2 * n, rng), n, coin_seed=trial)
+        measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(n))]]
+        for q in measured:
+            sim.measure(q, BASES[int(rng.integers(3))], c_sim)
+        keep = [q for q in range(n) if q not in measured]
+        before = engine_state(sim)
+        want = sim.restricted_graph(keep)
+        assert engine_state(sim) == before
+        read_off = all(sim.op(v).z_axis == 2 for v in keep)
+        assert sim.take_restricted_graph(keep) == want
+        if read_off:
+            assert sim._adj == {}
+        else:
+            assert engine_state(sim) == before
+        branches["read-off" if read_off else "fallback"] += 1
+    assert min(branches.values()) >= 20, branches
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_restricted_graph_leaves_the_engine_measurable(seed):
+    rng = np.random.default_rng(2000 + seed)
+    n = 2 + seed % 5
+    sim, t, c_sim, c_t = run_pair(diagonal_ops(n, 15, rng), n, coin_seed=seed)
+    sim.restricted_graph(list(range(n)))
+    for q in (int(x) for x in rng.permutation(n)):
+        basis = BASES[int(rng.integers(3))]
+        assert sim.measure(q, basis, c_sim) == t.measure(q, basis, c_t)
+    assert c_sim.bit_generator.state == c_t.bit_generator.state
+    assert_same_state(sim, t)
+
+
+def test_taken_restriction_refuses_before_removing_anything():
+    sim = GraphSimulator(4)
+    for a in range(3):
+        sim.cz(a, a + 1)
+    before = engine_state(sim)
+    with pytest.raises(ValueError, match="kept qubit 1 is entangled with dropped qubit 2"):
+        sim.take_restricted_graph([0, 1, 3])
+    assert engine_state(sim) == before
+    sim = GraphSimulator(32_768)
+    sim.gate("H", 0)  # forces the fallback reduction, over the byte cap
+    with pytest.raises(SizeCapError, match="32768-qubit graph reduction"):
+        sim.take_restricted_graph(list(range(32_768)))
+    assert len(sim._adj) == 32_768
+
+
 def test_bad_arguments():
     sim = GraphSimulator(2)
     with pytest.raises(ValueError):

@@ -287,6 +287,50 @@ class TestExport:
         g = GraphState([3, 1, 2], [(3, 1), (2, 3)])
         assert export(g, "json") == export(g.copy(), "json")
 
+    @staticmethod
+    def _reference(g, fmt):
+        """The export as it was written before the one-pass walk: a sorted
+        edge list, then json.dumps of a document or one DOT line each."""
+        verts = sorted(g._adj)
+        edges = sorted((v, u) for v in verts for u in g._adj[v] if u > v)
+        if fmt == "json":
+            doc = {"vertices": [{"id": v, "op": g.op(v).name} for v in verts],
+                   "edges": [list(e) for e in edges]}
+            return (json.dumps(doc, sort_keys=True, separators=(",", ": ")) + "\n").encode()
+        lines = ["graph cluster {"]
+        lines += [f'  {v} [op="{g.op(v).name}"];' for v in verts]
+        lines += [f"  {u} -- {v};" for u, v in edges]
+        lines.append("}")
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            n = int(rng.integers(0, 30))
+            ids = [int(v) for v in rng.choice(10**6, n, replace=False) - 3]  # non-contiguous
+            g = GraphState(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                                 if rng.random() < 0.25])
+            for v in ids:
+                if rng.random() < 0.6:
+                    g.vertex_ops[v] = cliffords.ELEMENTS[int(rng.integers(1, 24))]
+            for fmt in ("json", "dot", "JSON"):
+                assert export(g, fmt) == self._reference(g, fmt.lower()), (trial, fmt)
+            assert g.edges() == sorted(g.edges()) == sorted(
+                tuple(sorted(e)) for e in g.edge_set())
+
+    def test_every_vertex_operator_name(self):
+        g = GraphState(range(24), [(v, (v * 7 + 3) % 24) for v in range(24)])
+        g.vertex_ops = {el.index: el for el in cliffords.ELEMENTS if not el.is_identity()}
+        for fmt in ("json", "dot"):
+            assert export(g, fmt) == self._reference(g, fmt)
+        assert graph_from_json(export(g, "json").decode()) == g
+
+    def test_empty_graph_matches_reference(self):
+        for fmt in ("json", "dot"):
+            assert export(GraphState(), fmt) == self._reference(GraphState(), fmt)
+        assert export(GraphState(), "dot") == b"graph cluster {\n}\n"
+        assert export(GraphState([5]), "json") == b'{"edges": [],"vertices": [{"id": 5,"op": "I"}]}\n'
+
 
 class TestRecord:
     def test_order(self):

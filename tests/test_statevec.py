@@ -12,6 +12,7 @@ from sicluster.statevec import (
     ZeroProbabilityError,
     graph_to_statevector,
     mat_rz,
+    _support_basis,
     tableau_from_statevector,
     tableau_to_statevector,
 )
@@ -199,6 +200,71 @@ class TestReconstruction:
         t = tableau_from_statevector(sv.psi)
         t2 = new_plus_state(2).apply_gate("CZ", 0, 1).apply_gate("H", 0)
         assert same_stabilizer_group(t, t2)
+
+
+def _rescanning_support_basis(offsets, dim, k):
+    """The support-basis loop as it was before the pointer walk: it rescans
+    every offset once per basis vector.  Kept as the reference."""
+    in_span = np.zeros(dim, bool)
+    in_span[0] = True
+    span = np.zeros(1, np.int64)
+    basis = []
+    while len(basis) <= k:
+        outside = offsets[~in_span[offsets]]
+        if outside.size == 0:
+            break
+        basis.append(int(outside[0]))
+        span = np.concatenate([span, span ^ basis[-1]])
+        in_span[span] = True
+    if len(basis) != k:
+        raise ValueError("support is not an affine subspace")
+    return basis, span
+
+
+def _basis_or_error(fn, *args):
+    try:
+        basis, span = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return basis, span.tolist()
+
+
+class TestSupportBasis:
+    def test_matches_rescanning_loop_on_stabilizer_states(self):
+        rng = np.random.default_rng(31)
+        for _ in range(80):
+            n = int(rng.integers(1, 13))
+            _, sv = random_state_pair(n, int(rng.integers(1, 4 * n + 2)), rng)
+            support = np.flatnonzero(np.abs(sv.psi) > 0.5 * np.abs(sv.psi).max())
+            offsets = np.sort(support ^ support[0])
+            k = int(round(np.log2(support.size)))
+            got = _basis_or_error(_support_basis, offsets, k)
+            assert isinstance(got, tuple)
+            assert got == _basis_or_error(_rescanning_support_basis, offsets, 1 << n, k)
+
+    def test_matches_rescanning_loop_on_non_affine_supports(self):
+        rng = np.random.default_rng(32)
+        refused = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(0, n + 1))
+            if rng.random() < 0.5:  # an affine support with some offsets moved
+                _, sv = random_state_pair(n, 3 * n, rng)
+                offsets = np.flatnonzero(np.abs(sv.psi) > 0.5 * np.abs(sv.psi).max())
+                offsets ^= offsets[0]
+                k = int(round(np.log2(offsets.size)))
+                pool = np.setdiff1d(np.arange(1 << n), offsets)
+                m = min(int(rng.integers(1, 3)), offsets.size - 1, pool.size)
+                moved = 1 + rng.choice(offsets.size - 1, m, replace=False)
+                offsets[moved] = rng.choice(pool, m, replace=False)
+            else:
+                offsets = np.concatenate([[0], rng.choice(
+                    np.arange(1, 1 << n), (1 << k) - 1, replace=False)])
+            offsets = np.sort(offsets)
+            got = _basis_or_error(_support_basis, offsets, k)
+            assert got == _basis_or_error(_rescanning_support_basis, offsets, 1 << n, k)
+            refused += isinstance(got, str)
+        assert refused > 100
 
 
 class TestSvRun:
