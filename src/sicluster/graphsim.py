@@ -182,29 +182,19 @@ class GraphSimulator(GraphState):
             self.vertex_ops[q] = el
         return outcome, False
 
-    def restricted_graph(self, keep: list[int]) -> tuple[dict, dict]:
+    def take_restricted_graph(self, keep: list[int]) -> tuple[dict, dict]:
         """Graph form of the state restricted to ``keep``, indexed by position.
 
         Returns the same (adjacency, vertex_ops) canonical form as
         :func:`sicluster.tableau.graph_from_stab_matrix` on the kept
         generators.  Raises ValueError if a kept qubit has a neighbour
         outside ``keep`` (the kept marginal is then mixed), and SizeCapError
-        before allocating a fallback reduction above the tableau's byte cap.
-        The engine is left as it was.
-        """
-        pos = self._positions(keep)
-        if self._preserves_z(keep):
-            return self._read_off(pos, self._adj.__getitem__)
-        return self._fallback_reduction(keep, pos)
-
-    def take_restricted_graph(self, keep: list[int]) -> tuple[dict, dict]:
-        """:meth:`restricted_graph`, freeing the engine's adjacency as it reads.
-
-        Both refusals come before any change.  When every kept operator
-        preserves Z, the dropped qubits' sets and operators go first and each
-        kept set is popped as its extracted one is built, so the engine's
-        adjacency and the extracted one are never held in full together.
-        The engine's adjacency is then empty and the engine unusable.  The
+        before allocating a fallback reduction above the tableau's byte cap;
+        both refusals come before any change.  This is the engine's last
+        use: when every kept operator preserves Z, the dropped qubits' sets
+        and operators go first and each kept set is popped as its extracted
+        one is built, so the engine's adjacency and the extracted one are
+        never held in full together, and the engine is left empty.  The
         fallback reduction leaves the engine as it was.
         """
         pos = self._positions(keep)
@@ -216,7 +206,7 @@ class GraphSimulator(GraphState):
         self._adj = {v: self._adj[v] for v in pos}
         self.vertex_ops = {v: vops[v] for v in pos if v in vops}
         del vops
-        return self._read_off(pos, self._adj.pop)
+        return self._read_off(pos)
 
     def _positions(self, keep) -> dict[int, int]:
         """Each kept qubit's position, after refusing a kept qubit that is
@@ -234,15 +224,15 @@ class GraphSimulator(GraphState):
         vops = self.vertex_ops
         return all(vops.get(v, IDENTITY).z_axis == _Z for v in keep)
 
-    def _read_off(self, pos, neighbours) -> tuple[dict, dict]:
+    def _read_off(self, pos) -> tuple[dict, dict]:
         """The reduction when every kept VOP preserves Z: the generator of v
         is +-(X or Y)_v prod_u +-Z_u, so the X block is already the identity
-        and the graph is read off per vertex.  ``neighbours(v)`` returns v's
-        adjacency set (and may remove it from the engine)."""
+        and the graph is read off per vertex, popping each adjacency set
+        from the engine as it goes."""
         vops = self.vertex_ops
         adj, out_ops = {}, {}
         for v, i in pos.items():
-            nbrs = neighbours(v)
+            nbrs = self._adj.pop(v)
             adj[i] = {pos[u] for u in nbrs}
             op = vops.get(v, IDENTITY)
             s = op.x_axis == _Y

@@ -16,14 +16,15 @@ by site id = i * ly + j for site (i, j).
 One walker interprets every script: it validates the steps, shuttles the
 electrons, measures out in Z those that leave the lattice, land on a dead
 site or are still live at the end, parks and re-prepares measured ones,
-and calls the noise hooks.  It drives one of four consumers through
-``prepare``/``cz``/``gate``/``measure``.  ``run_protocol(backend=
-"stabilizer")`` runs the in-place graph-state engine
-(``sicluster.graphsim``); ``backend="tableau"`` runs the same script on the
-Aaronson-Gottesman stabilizer tableau and ``backend="statevector"`` on the
-deferred dense register of ``sicluster.statevec``, the two oracles the
-engine is checked against.  ``predicted_edge_set`` runs it on a backend
-that only tracks CZ partner sets.
+and calls the noise hooks.  It builds its engine once the script's first
+step is checked and calls ``cz``/``gate``/``measure`` on it directly.
+``run_protocol(backend="stabilizer")`` runs the in-place graph-state
+engine (``sicluster.graphsim``); ``backend="tableau"`` runs the same
+script on the Aaronson-Gottesman stabilizer tableau and
+``backend="statevector"`` on the deferred dense register of
+``sicluster.statevec``, the two oracles the engine is checked against.
+``predicted_edge_set`` runs it on an engine that only tracks CZ partner
+sets.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from sicluster.statevec import (
     graph_to_statevector,
     tableau_from_statevector,
 )
-from sicluster.tableau import Basis, StabilizerTableau, new_plus_state, restricted_stab_graph
+from sicluster.tableau import Basis, new_plus_state, restricted_stab_graph
 
 
 class ProtocolError(ValueError):
@@ -232,80 +233,7 @@ class RunResult:
     n_sites: int = 0
 
 
-# -- simulation backends ------------------------------------------------------
-
-
-class _GraphBackend:
-    name = "stabilizer"
-
-    def __init__(self, lattice: DonorLattice, rng):
-        self.lattice = lattice
-        self.rng = rng
-        self.sim: GraphSimulator | None = None
-
-    def prepare(self) -> None:
-        self.sim = GraphSimulator(2 * self.lattice.n_sites)
-
-    def cz(self, a: int, b: int) -> None:
-        self.sim.cz(a, b)
-
-    def gate(self, name: str, q: int) -> None:
-        self.sim.gate(name, q)
-
-    def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
-        return self.sim.measure(q, basis, self.rng)
-
-    def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        # The engine's last use: the read-off consumes it.
-        keep = nucleus(np.arange(self.lattice.n_sites)).tolist()
-        return self.sim.take_restricted_graph(keep)
-
-
-class _TableauBackend:
-    name = "tableau"
-
-    def __init__(self, lattice: DonorLattice, rng):
-        self.lattice = lattice
-        self.rng = rng
-        self.t: StabilizerTableau | None = None
-
-    def prepare(self) -> None:
-        self.t = new_plus_state(2 * self.lattice.n_sites)
-
-    def cz(self, a: int, b: int) -> None:
-        self.t.apply_gate("CZ", a, b)
-
-    def gate(self, name: str, q: int) -> None:
-        self.t.apply_gate(name, q)
-
-    def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
-        return self.t.measure(q, basis, self.rng)
-
-    def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        return restricted_stab_graph(self.t, nucleus(np.arange(self.lattice.n_sites)))
-
-
-class _StatevectorBackend(DenseRegister):
-    """The dense register on the lattice qubits: an electron joins the array
-    only at its own readout, so it never holds more than n_sites + 1."""
-
-    name = "statevector"
-
-    def __init__(self, lattice: DonorLattice, rng):
-        if lattice.n_sites + 1 > MAX_QUBITS:
-            raise SizeCapError(f"statevector backend needs up to {lattice.n_sites + 1} "
-                               f"qubits, cap is {MAX_QUBITS}")
-        super().__init__(rng)
-        self.lattice = lattice
-
-    def prepare(self) -> None:
-        pass  # the register starts every qubit in |+>
-
-    def extract_nuclear_graph(self) -> tuple[dict, dict]:
-        psi = self.gather(nucleus(np.arange(self.lattice.n_sites)).tolist())
-        if psi.ndim != self.lattice.n_sites:
-            raise ProtocolError("unmeasured electrons remain in the dense state")
-        return restricted_stab_graph(tableau_from_statevector(psi), list(range(psi.ndim)))
+# -- the protocol driver ------------------------------------------------------
 
 
 def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
@@ -330,9 +258,6 @@ def _assemble_graph(n_sites: int, adj, ops) -> tuple[GraphState, PauliFrame]:
     return graph, frame
 
 
-# -- the protocol driver ------------------------------------------------------
-
-
 def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
                  rng=None, noise=None) -> RunResult:
     """Execute a protocol script and return the nuclear cluster state.
@@ -350,65 +275,84 @@ def run_protocol(lattice: DonorLattice, steps, backend: str = "stabilizer",
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    backends = {"stabilizer": _GraphBackend, "tableau": _TableauBackend,
-                "statevector": _StatevectorBackend}
-    if backend not in backends:
+    n_sites = lattice.n_sites
+    nuclei = nucleus(np.arange(n_sites))
+    # Per backend: how to build the 2n-qubit engine, and how to read the
+    # nuclear graph off it, which is the engine's last use.
+    engines = {
+        "stabilizer": (lambda: GraphSimulator(2 * n_sites),
+                       lambda sim: sim.take_restricted_graph(nuclei.tolist())),
+        "tableau": (lambda: new_plus_state(2 * n_sites),
+                    lambda t: restricted_stab_graph(t, nuclei)),
+        "statevector": (DenseRegister, lambda reg: restricted_stab_graph(
+            tableau_from_statevector(reg.gather(nuclei.tolist())), list(range(n_sites)))),
+    }
+    if backend not in engines:
         raise ProtocolError(f"unknown backend {backend!r}")
-    be = backends[backend](lattice, rng)
-    outcomes = _walk(lattice, steps, be, noise)
+    # An electron joins the dense array only at its own readout, so the
+    # register never holds more than n_sites + 1 qubits.
+    if backend == "statevector" and n_sites + 1 > MAX_QUBITS:
+        raise SizeCapError(f"statevector backend needs up to {n_sites + 1} "
+                           f"qubits, cap is {MAX_QUBITS}")
+    new_engine, read_nuclear_graph = engines[backend]
+    engine, outcomes = _walk(lattice, steps, new_engine, rng, noise)
     try:
-        adj, ops = be.extract_nuclear_graph()
+        adj, ops = read_nuclear_graph(engine)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
-    name = be.name
-    del be  # free the engine before assembly, so it never coexists with the graph
-    graph, frame = _assemble_graph(lattice.n_sites, adj, ops)
+    del engine  # free the engine before assembly, so it never coexists with the graph
+    graph, frame = _assemble_graph(n_sites, adj, ops)
     return RunResult(graph=graph, outcomes=outcomes, frame=frame,
-                     backend=name, n_sites=lattice.n_sites)
+                     backend=backend, n_sites=n_sites)
 
 
-def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRecord:
-    """Interpret a protocol script as primitive calls on a backend.
+def _walk(lattice: DonorLattice, steps, new_engine, rng,
+          noise=None) -> tuple[object, MeasurementOutcomeRecord]:
+    """Interpret a protocol script as primitive calls on an engine.
 
-    The backend sees only ``prepare()``, ``cz(electron, nucleus)``,
-    ``gate(name, qubit)`` and ``measure(qubit, basis) -> (outcome,
-    deterministic)``.  Electrons shuttled off the lattice or onto a dead
-    site, and electrons still live at the end, are measured out in Z.
+    Once the leading ``PrepareAllPlus`` is checked, ``new_engine()`` builds
+    the engine, every qubit in |+>; the walker then calls only
+    ``cz(electron, nucleus)``, ``gate(name, qubit)`` and ``measure(qubit,
+    basis, rng) -> (outcome, deterministic)`` on it.  Electrons shuttled
+    off the lattice or onto a dead site, and electrons still live at the
+    end, are measured out in Z.  A readout round is parked for
+    re-preparation only when a ``ReprepareElectronsPlus`` follows it.
+    Returns the engine and the outcome record.
     """
     steps = list(steps)
     if not steps or not isinstance(steps[0], PrepareAllPlus):
         raise ProtocolError("protocol must start with PrepareAllPlus")
-    if isinstance(steps[0], PrepareAllPlus) and steps[0].species != "both":
+    if steps[0].species != "both":
         raise ProtocolError("run_protocol prepares both species; see cool_and_prepare")
+    last_reprep = max((i for i, step in enumerate(steps)
+                       if isinstance(step, ReprepareElectronsPlus)), default=0)
 
-    positions: dict[int, int] = {}  # site id -> electron qubit
+    engine = new_engine()
+    positions = lattice.initial_electrons()  # site id -> electron qubit
+    if noise is not None:
+        noise.after_prepare(engine, lattice)
     # site id -> (electron, basis, recorded outcome), awaiting re-preparation
     parked: dict[int, tuple[int, Basis, int]] = {}
     outcomes = MeasurementOutcomeRecord()
     cphase_count = 0
 
     def measure_and_record(e: int, basis: Basis) -> int:
-        outcome, _ = be.measure(e, basis)
+        outcome, _ = engine.measure(e, basis, rng)
         if noise is not None:
             outcome = noise.filter_outcome(e, basis, outcome)
         outcomes.append(e, basis, outcome)
         return outcome
 
-    for step_no, step in enumerate(steps):
+    for step_no, step in enumerate(steps[1:], 1):
         if isinstance(step, PrepareAllPlus):
-            if step_no != 0:
-                raise ProtocolError("PrepareAllPlus is only supported as the first step")
-            be.prepare()
-            positions = lattice.initial_electrons()
-            if noise is not None:
-                noise.after_prepare(be, lattice)
+            raise ProtocolError("PrepareAllPlus is only supported as the first step")
         elif isinstance(step, GlobalCPhase):
             for s in sorted(positions):
-                be.cz(positions[s], nucleus(s))
+                engine.cz(positions[s], nucleus(s))
             cphase_count += 1
         elif isinstance(step, Shuttle):
             if noise is not None:
-                noise.before_shuttle(be, [positions[s] for s in sorted(positions)])
+                noise.before_shuttle(engine, [positions[s] for s in sorted(positions)])
             # Every electron moves by the same offset, so no two land on one
             # site, and parked electrons exist only while positions is empty.
             di, dj = step.delta
@@ -428,16 +372,18 @@ def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRec
                               stacklevel=3)
             for s in sorted(positions):
                 e = positions[s]
-                parked[s] = (e, step.basis, measure_and_record(e, step.basis))
+                outcome = measure_and_record(e, step.basis)
+                if step_no < last_reprep:
+                    parked[s] = (e, step.basis, outcome)
             positions = {}
         elif isinstance(step, ReprepareElectronsPlus):
             unrotate = {Basis.X: (), Basis.Y: ("SDG",), Basis.Z: ("H",)}
             for s in sorted(parked):
                 e, basis, outcome = parked[s]
                 for name in unrotate[basis]:
-                    be.gate(name, e)
+                    engine.gate(name, e)
                 if outcome == -1:
-                    be.gate("Z", e)
+                    engine.gate("Z", e)
                 positions[s] = e
             parked = {}
         else:
@@ -450,14 +396,14 @@ def _walk(lattice: DonorLattice, steps, be, noise=None) -> MeasurementOutcomeRec
         measure_and_record(e, Basis.Z)
 
     if noise is not None:
-        noise.before_extract(be, lattice)
-    return outcomes
+        noise.before_extract(engine, lattice)
+    return engine, outcomes
 
 
 # -- predicted topology --------------------------------------------------------
 
 
-class _PredictorBackend:
+class _EdgePredictor:
     """Edge bookkeeping for ``predicted_edge_set``.
 
     Tracks each electron's CZ partner parity set: a sigma_y readout toggles
@@ -469,16 +415,13 @@ class _PredictorBackend:
         self.partners: dict[int, set[int]] = {}
         self.edges: set[tuple[int, int]] = set()
 
-    def prepare(self) -> None:
-        pass
-
     def cz(self, e: int, n: int) -> None:
         self.partners.setdefault(e, set()).symmetric_difference_update({n // 2})
 
     def gate(self, name: str, q: int) -> None:
         pass
 
-    def measure(self, q: int, basis: Basis) -> tuple[int, bool]:
+    def measure(self, q: int, basis: Basis, rng) -> tuple[int, bool]:
         if basis == Basis.Y:
             self.edges.symmetric_difference_update(
                 itertools.combinations(sorted(self.partners.get(q, ())), 2))
@@ -492,12 +435,11 @@ class _PredictorBackend:
 def predicted_edge_set(lattice: DonorLattice, steps) -> set[tuple[int, int]]:
     """Combinatorial prediction of the output adjacency (site-id pairs).
 
-    Walks the script as ``run_protocol`` does, on a backend that tracks only
+    Walks the script as ``run_protocol`` does, on an engine that tracks only
     CZ partner sets (Y and Z electron readout; X raises ProtocolError).
     """
-    be = _PredictorBackend()
-    _walk(lattice, steps, be)
-    return be.edges
+    predictor, _ = _walk(lattice, steps, _EdgePredictor, None)
+    return predictor.edges
 
 
 def predicted_graph(lattice: DonorLattice, steps) -> GraphState:

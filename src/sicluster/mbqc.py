@@ -240,16 +240,16 @@ def _effective_angle(st: MeasurementStep, outcomes: dict[int, int]) -> float:
 
 def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
     if input_state is None:
-        reg = DenseRegister(rng, adjacency=cluster._adj)
+        reg = DenseRegister(adjacency=cluster._adj)
     elif input_state.n != len(pattern.inputs):
         raise PatternError("input state size does not match pattern inputs")
     else:
-        reg = DenseRegister(rng, pattern.inputs, input_state.psi, cluster._adj)
+        reg = DenseRegister(pattern.inputs, input_state.psi, cluster._adj)
     outcomes: dict[int, int] = {}
     order: list[int] = []
     for st in pattern.steps:
         basis = Basis.Z if st.basis == "Z" else _effective_angle(st, outcomes)
-        outcomes[st.vertex], _ = reg.measure(st.vertex, basis)
+        outcomes[st.vertex], _ = reg.measure(st.vertex, basis, rng)
         order.append(st.vertex)
 
     outs = list(pattern.outputs)
@@ -313,7 +313,7 @@ def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
     # full post-measurement state, exactly like the dense lane's amplitudes;
     # the returned frame holds only the pattern's byproduct corrections.
     keep = sorted(outs)
-    adj, ops = sim.restricted_graph(keep)
+    adj, ops = sim.take_restricted_graph(keep)
     edges = [(keep[a], keep[b]) for a, nbrs in adj.items() for b in nbrs if a < b]
     graph = GraphState(keep, edges, {keep[i]: op for i, op in ops.items()})
     frame = _frame_from_corrections(pattern, outcomes)

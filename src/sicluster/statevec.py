@@ -271,14 +271,14 @@ class DenseRegister:
     the Z axis first applies the qubit's pending CZs, attaching their
     detached ends; the readout then drops the qubit from the array
     (``StateVector.measure_out``).  A Z readout applies none: each pending
-    CZ is a Z on the partner when the qubit reads 1.
+    CZ is a Z on the partner when the qubit reads 1.  Like the other
+    engines, it takes its coins per readout: ``measure(q, basis, rng)``.
     """
 
-    def __init__(self, rng, labels=(), psi=None, adjacency=None):
+    def __init__(self, labels=(), psi=None, adjacency=None):
         # The array starts empty or holds psi, labels[0] on its leading axis.
         # A graph's ``adjacency`` (qubit -> partner set, each edge listed at
         # both ends) starts one CZ per edge pending.
-        self.rng = rng
         self.sv = StateVector(len(labels), psi)
         self.axes: list = list(labels)
         self.single: dict = {}
@@ -316,6 +316,7 @@ class DenseRegister:
         self.pending.setdefault(b, set()).symmetric_difference_update({a})
 
     def gate(self, name: str, q) -> None:
+        name = name.upper()
         if name not in ("Z", "S", "SDG"):
             self._flush(q)
         if q in self.axes:
@@ -323,17 +324,17 @@ class DenseRegister:
         else:
             self.single[q] = _GATE_MATS[name] @ self.single.get(q, KET_PLUS)
 
-    def measure(self, q, basis: Basis | float) -> tuple[int, bool]:
+    def measure(self, q, basis: Basis | float, rng) -> tuple[int, bool]:
         """Read q in a Pauli basis or at an XY angle, leaving it detached."""
         if basis is not Basis.Z:
             self._flush(q)
         partners = sorted(self.pending.pop(q, ()))  # none left after a flush
         if q in self.axes:
-            outcome, det, ket = self.sv.measure_out(self.axes.index(q), basis, self.rng)
+            outcome, det, ket = self.sv.measure_out(self.axes.index(q), basis, rng)
             self.axes.remove(q)
         else:
             one = StateVector(1, self.single.get(q, KET_PLUS))
-            outcome, det, ket = one.measure_out(0, basis, self.rng)
+            outcome, det, ket = one.measure_out(0, basis, rng)
         self.single[q] = ket
         for p in partners:
             self.pending[p].discard(q)

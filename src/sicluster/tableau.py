@@ -204,6 +204,12 @@ class StabilizerTableau:
             za ^= zb
         return self
 
+    def cz(self, a: int, b: int) -> None:
+        self.apply_gate("CZ", a, b)
+
+    def gate(self, name: str, q: int) -> None:
+        self.apply_gate(name, q)
+
     def apply_clifford1(self, el: cliffords.Clifford1, q: int) -> "StabilizerTableau":
         """Apply a single-qubit Clifford group element to qubit q."""
         self._check_q(q)

@@ -14,7 +14,10 @@ import pytest
 
 from sicluster import lattice
 from sicluster.cli import main
+from sicluster.graphsim import GraphSimulator
 from sicluster.lattice import DonorLattice, run_protocol, standard_protocol
+from sicluster.statevec import DenseRegister
+from sicluster.tableau import StabilizerTableau
 
 _NOISY_SQUARE = {
     "lx": 20, "ly": 20, "protocol": "square", "seed": 7,
@@ -73,16 +76,15 @@ def test_build_outputs_are_pinned(tmp_path, name):
     assert build_digests(tmp_path, name) == PINNED[name]
 
 
-def test_engine_is_released_before_assembly(monkeypatch):
-    """run_protocol drops its backend once the nuclear graph is extracted, so
-    the engine never coexists with the assembled graph."""
+def engine_released_before_assembly(monkeypatch, backend: str, engine_cls) -> list[bool]:
+    """Run a 4x4 standard protocol, and at assembly note whether the first
+    ``engine_cls`` instance built is gone."""
     refs, seen = [], []
-    backend_cls = lattice._GraphBackend
+    init = engine_cls.__init__
 
-    class SpyBackend(backend_cls):
-        def prepare(self):
-            super().prepare()
-            refs.append(weakref.ref(self.sim))
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
 
     assemble = lattice._assemble_graph
 
@@ -91,11 +93,21 @@ def test_engine_is_released_before_assembly(monkeypatch):
         seen.append(refs[0]() is None)
         return assemble(*args)
 
-    monkeypatch.setattr(lattice, "_GraphBackend", SpyBackend)
-    monkeypatch.setattr(lattice, "_assemble_graph", spy_assemble)
-    result = run_protocol(DonorLattice(4, 4), standard_protocol())
-    assert seen == [True]
+    with monkeypatch.context() as m:
+        m.setattr(engine_cls, "__init__", spy_init)
+        m.setattr(lattice, "_assemble_graph", spy_assemble)
+        result = run_protocol(DonorLattice(4, 4), standard_protocol(), backend=backend)
     assert result.graph.n == 16
+    return seen
+
+
+def test_engine_is_released_before_assembly(monkeypatch):
+    """run_protocol drops its engine once the nuclear graph is extracted, so
+    the engine never coexists with the assembled graph, on every backend."""
+    engines = {"stabilizer": GraphSimulator, "tableau": StabilizerTableau,
+               "statevector": DenseRegister}
+    for backend, engine_cls in engines.items():
+        assert engine_released_before_assembly(monkeypatch, backend, engine_cls) == [True]
 
 
 def test_assembly_refuses_a_graph_that_does_not_cover_the_sites():

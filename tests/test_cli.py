@@ -86,10 +86,13 @@ class TestBuildCluster:
         assert rc == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_statevector_cap_exit_code(self, tmp_path):
+    def test_statevector_cap_exit_code(self, tmp_path, capsys):
         rc = run_cli(["build-cluster", "--size", "2x11", "--backend", "statevector",
                       "--out", str(tmp_path / "o")])
         assert rc == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "resource cap: statevector backend needs up to 23 qubits, cap is 22\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, rc", [
         (["--size", "3x3"], 0),

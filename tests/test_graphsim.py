@@ -44,7 +44,7 @@ def run_pair(ops, n, coin_seed=0):
 def assert_same_state(sim, t):
     assert same_stabilizer_group(from_graph_state(sim), t)
     n = t.n
-    adj, ops = sim.restricted_graph(list(range(n)))
+    adj, ops = GraphSimulator.from_graph(sim).take_restricted_graph(list(range(n)))
     g = t.to_graph_state()
     assert adj == {v: g.neighbors(v) for v in range(n)}
     assert ops == dict(g.vertex_ops)
@@ -79,7 +79,7 @@ def test_random_circuits_match_tableau(seed):
         basis = BASES[int(rng.integers(3))]
         assert sim.measure(q, basis, c_sim) == t.measure(q, basis, c_t)
     rest = [q for q in range(n) if q not in measured]
-    assert sim.restricted_graph(rest) == restricted_stab_graph(t, rest)
+    assert sim.take_restricted_graph(rest) == restricted_stab_graph(t, rest)
 
 
 def test_zp_move_table():
@@ -145,19 +145,19 @@ def test_read_off_matches_packed_reduction():
         assert all(op.z_axis == 2 for op in sim.vertex_ops.values())
         reduced = graph_from_stab_matrix(*sim._generators(
             keep, {v: v for v in keep}, [sim.op(v) for v in keep]))
-        assert sim.restricted_graph(keep) == reduced
+        assert sim.take_restricted_graph(keep) == reduced
 
 
 def test_restriction_rejects_entangled_dropped_qubit():
     sim = GraphSimulator(3)
     sim.cz(0, 2)
     with pytest.raises(ValueError, match="entangled"):
-        sim.restricted_graph([0, 1])
+        sim.take_restricted_graph([0, 1])
 
 
 def test_restriction_drops_measured_qubits():
     sim, _, _, _ = run_pair([("CZ", 0, 1), ("CZ", 1, 2), ("M", 1, Basis.Y)], 3)
-    adj, _ = sim.restricted_graph([0, 2])
+    adj, _ = sim.take_restricted_graph([0, 2])
     assert adj == {0: {1}, 1: {0}}
 
 
@@ -175,7 +175,7 @@ def test_oversized_fallback_reduction_refused_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError, match="32768-qubit graph reduction"):
-            sim.restricted_graph(list(range(32_768)))
+            sim.take_restricted_graph(list(range(32_768)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -203,22 +203,23 @@ def engine_state(sim):
 
 
 def test_taken_restriction_matches_restricted_graph():
-    # The consuming read-off returns exactly what restricted_graph returns.
-    # On the read-off branch it empties the engine's adjacency; the fallback
-    # reduction leaves the engine as it was.
+    # The consuming restriction returns exactly what the tableau's
+    # restriction returns on the same circuit and coins.  On the read-off
+    # branch it empties the engine's adjacency; the fallback reduction
+    # leaves the engine as it was.
     rng = np.random.default_rng(1900)
     branches = {"read-off": 0, "fallback": 0}
     for trial in range(120):
         n = int(rng.integers(1, 9))
         make = random_ops if trial % 2 else diagonal_ops
-        sim, _, c_sim, _ = run_pair(make(n, 4 + 2 * n, rng), n, coin_seed=trial)
+        sim, t, c_sim, c_t = run_pair(make(n, 4 + 2 * n, rng), n, coin_seed=trial)
         measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(n))]]
         for q in measured:
-            sim.measure(q, BASES[int(rng.integers(3))], c_sim)
+            basis = BASES[int(rng.integers(3))]
+            assert sim.measure(q, basis, c_sim) == t.measure(q, basis, c_t)
         keep = [q for q in range(n) if q not in measured]
         before = engine_state(sim)
-        want = sim.restricted_graph(keep)
-        assert engine_state(sim) == before
+        want = restricted_stab_graph(t, keep)
         read_off = all(sim.op(v).z_axis == 2 for v in keep)
         assert sim.take_restricted_graph(keep) == want
         if read_off:
@@ -227,19 +228,6 @@ def test_taken_restriction_matches_restricted_graph():
             assert engine_state(sim) == before
         branches["read-off" if read_off else "fallback"] += 1
     assert min(branches.values()) >= 20, branches
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_restricted_graph_leaves_the_engine_measurable(seed):
-    rng = np.random.default_rng(2000 + seed)
-    n = 2 + seed % 5
-    sim, t, c_sim, c_t = run_pair(diagonal_ops(n, 15, rng), n, coin_seed=seed)
-    sim.restricted_graph(list(range(n)))
-    for q in (int(x) for x in rng.permutation(n)):
-        basis = BASES[int(rng.integers(3))]
-        assert sim.measure(q, basis, c_sim) == t.measure(q, basis, c_t)
-    assert c_sim.bit_generator.state == c_t.bit_generator.state
-    assert_same_state(sim, t)
 
 
 def test_taken_restriction_refuses_before_removing_anything():

@@ -1,6 +1,7 @@
 """Donor-lattice protocol: scripts, backends, predictor, frames."""
 
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sicluster import lattice
+from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import export
 from sicluster.lattice import (
     DonorLattice,
@@ -29,9 +31,11 @@ from sicluster.lattice import (
 from sicluster.noise import DefectModel, NoiseInjector, TimingModel, inject_noise
 from sicluster.rng import substream
 from sicluster.statevec import DenseRegister, SizeCapError, StateVector, tableau_from_statevector
-from sicluster.tableau import Basis
+from sicluster.tableau import Basis, StabilizerTableau
 
 BACKENDS = ("stabilizer", "tableau", "statevector")
+ENGINE_CLASSES = [("stabilizer", GraphSimulator), ("tableau", StabilizerTableau),
+                  ("statevector", DenseRegister)]
 SHAPES_UP_TO_11 = [(lx, ly) for lx in range(1, 12) for ly in range(1, 12) if lx * ly <= 11]
 _PROTOCOLS = {"standard": standard_protocol, "square": square_lattice_protocol}
 
@@ -206,11 +210,18 @@ class TestRunProtocol:
             assert res.graph.degree(lat.site_id(i, j)) == 0
         assert set(res.graph.edges()) == predicted_edge_set(lat, standard_protocol())
 
-    def test_statevector_cap(self):
+    def test_statevector_cap(self, monkeypatch):
         # 22 sites may need 23 qubits at one readout: one more than the cap.
-        with pytest.raises(SizeCapError):
-            run_protocol(DonorLattice(2, 11), standard_protocol(),
-                         backend="statevector", rng=np.random.default_rng(0))
+        # The lattice is refused before the walk, whatever the script.
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(lattice, "_walk", no_walk)
+        for steps in (standard_protocol(), [GlobalCPhase()]):
+            with pytest.raises(SizeCapError,
+                               match=r"^statevector backend needs up to 23 qubits, cap is 22$"):
+                run_protocol(DonorLattice(2, 11), steps,
+                             backend="statevector", rng=np.random.default_rng(0))
 
     def test_dense_readouts_drop_their_qubit(self, monkeypatch):
         """On 1x11 every electron leaves at the first shuttle.  That Z readout
@@ -246,29 +257,90 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dense_deferred_cz_meets_every_gate(self, seed):
-        """Backend calls the walker never makes (H, X and Y on qubits with
-        deferred C-phases, repeated pairs) against eager dense gates."""
+        """Register calls the walker never makes (H, X and Y on qubits with
+        deferred C-phases, repeated pairs) against eager dense gates, with
+        the gate names as written and in lower case."""
         calls = [("cz", 1, 0), ("cz", 3, 2), ("cz", 1, 2), ("gate", "H", 1),
                  ("cz", 3, 0), ("cz", 3, 0), ("cz", 3, 0), ("gate", "X", 0),
                  ("cz", 1, 0), ("gate", "S", 3), ("gate", "Y", 2), ("measure", 3, Basis.X),
                  ("gate", "SDG", 1), ("measure", 1, Basis.Y)]
-        be = lattice._StatevectorBackend(DonorLattice(2, 1), np.random.default_rng(seed))
-        be.prepare()
-        ref, ref_rng = StateVector.all_plus(4), np.random.default_rng(seed)
-        for op, *args in calls:
-            if op == "cz":
-                be.cz(*args)
-                ref.apply_cz(*args)
-            elif op == "gate":
-                be.gate(*args)
-                ref.apply_gate(*args)
-            else:
-                assert be.measure(*args) == ref.measure(*args, ref_rng)
-        for q in list(be.pending):
-            be._flush(q)
-        be._attach(0, 1, 2, 3)
-        got = be.sv.psi.reshape([2] * 4).transpose([be.axes.index(q) for q in range(4)])
-        assert StateVector(4, got).fidelity(ref) > 1 - 1e-9
+        for spell in (str, str.lower):
+            be, rng = DenseRegister(), np.random.default_rng(seed)
+            ref, ref_rng = StateVector.all_plus(4), np.random.default_rng(seed)
+            for op, *args in calls:
+                if op == "cz":
+                    be.cz(*args)
+                    ref.apply_cz(*args)
+                elif op == "gate":
+                    be.gate(spell(args[0]), args[1])
+                    ref.apply_gate(*args)
+                else:
+                    assert be.measure(*args, rng) == ref.measure(*args, ref_rng)
+            for q in list(be.pending):
+                be._flush(q)
+            be._attach(0, 1, 2, 3)
+            got = be.sv.psi.reshape([2] * 4).transpose([be.axes.index(q) for q in range(4)])
+            assert StateVector(4, got).fidelity(ref) > 1 - 1e-9
+
+    def test_dense_gate_names_ignore_case(self):
+        """A lower-case name acts like its upper-case one: H on a detached
+        qubit, and a Z that leaves the deferred C-phases deferred."""
+        for name in ("H", "h"):
+            reg = DenseRegister()
+            reg.gate(name, 0)
+            assert np.allclose(reg.single[0], [1, 0])
+        for name in ("Z", "z"):
+            reg = DenseRegister()
+            reg.cz(1, 2)
+            reg.gate(name, 1)
+            assert reg.pending == {1: {2}, 2: {1}}
+            assert reg.sv.n == 0 and np.allclose(reg.single[1], np.array([1, -1]) / np.sqrt(2))
+
+    @pytest.mark.parametrize("backend, engine_cls", ENGINE_CLASSES)
+    def test_scripts_are_refused_before_an_engine_is_built(self, monkeypatch, backend,
+                                                          engine_cls):
+        def no_engine(self, *args, **kwargs):
+            raise AssertionError(f"{engine_cls.__name__} was built")
+
+        monkeypatch.setattr(engine_cls, "__init__", no_engine)
+        # A 100x100 tableau would need 1.5 GiB; the dense register caps at 21 sites.
+        lat = DonorLattice(3, 3) if backend == "statevector" else DonorLattice(100, 100)
+        for steps in ([GlobalCPhase(), MeasureElectrons(Basis.Y)], [],
+                      [PrepareAllPlus("nuclear"), GlobalCPhase()]):
+            with pytest.raises(ProtocolError):
+                run_protocol(lat, steps, backend=backend, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_readouts_are_parked_only_for_a_later_reprepare(self, backend):
+        """The walker keeps a round's (electron, basis, outcome) only when a
+        re-preparation follows, so nothing is parked when the walk ends."""
+        parked_at_end = []
+
+        class Probe:
+            def after_prepare(self, engine, lat):
+                pass
+
+            def before_shuttle(self, engine, electrons):
+                pass
+
+            def filter_outcome(self, qubit, basis, outcome):
+                return outcome
+
+            def before_extract(self, engine, lat):
+                walk = sys._getframe(1)
+                assert walk.f_code is lattice._walk.__code__
+                parked_at_end.append(dict(walk.f_locals["parked"]))
+
+        lat = DonorLattice(3, 3, dead=[(1, 2)])
+        twice = [PrepareAllPlus(), GlobalCPhase(), MeasureElectrons(Basis.Y),
+                 MeasureElectrons(Basis.Z), ReprepareElectronsPlus(), GlobalCPhase(),
+                 MeasureElectrons(Basis.Y)]
+        for steps in (standard_protocol(), square_lattice_protocol(), twice):
+            noisy = run_protocol(lat, steps, backend=backend, rng=np.random.default_rng(3),
+                                 noise=Probe())
+            plain = run_protocol(lat, steps, backend=backend, rng=np.random.default_rng(3))
+            assert (noisy.graph, noisy.frame) == (plain.graph, plain.frame)
+        assert parked_at_end == [{}, {}, {}]
 
     def test_measure_before_entanglement_warns(self):
         steps = [PrepareAllPlus(), MeasureElectrons(Basis.Y)]
