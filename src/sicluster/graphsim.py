@@ -31,7 +31,14 @@ import numpy as np
 
 from sicluster import cliffords
 from sicluster.cliffords import IDENTITY, Clifford1
-from sicluster.graphstate import _AXIS_OF, _LC_NEIGHBOR, _LC_SELF, GraphState, _basis_name
+from sicluster.graphstate import (
+    _AXIS_OF,
+    _LC_NEIGHBOR,
+    _LC_SELF,
+    BorrowedAdjacency,
+    GraphState,
+    _basis_name,
+)
 from sicluster.rng import draw_sign_bit
 from sicluster.tableau import MAX_TABLEAU_BYTES, REDUCTION_OPS, graph_from_stab_matrix
 from sicluster.tableau import SizeCapError
@@ -85,9 +92,16 @@ class GraphSimulator(GraphState):
 
     @classmethod
     def from_graph(cls, graph: GraphState) -> "GraphSimulator":
-        """Engine holding ``graph``'s state, with its vertex ids as qubit labels."""
+        """Engine holding ``graph``'s state, with its vertex ids as qubit labels.
+
+        The engine borrows ``graph``'s adjacency (a :class:`BorrowedAdjacency`):
+        it copies a neighbour set only when it first reads it, so a pattern
+        that touches a few vertices of a large cluster copies a few sets, and
+        ``graph`` is never changed.  ``graph`` must not change while the
+        engine is in use.
+        """
         sim = cls.__new__(cls)
-        sim._adj = {v: set(nbrs) for v, nbrs in graph._adj.items()}
+        sim._adj = BorrowedAdjacency.of(graph._adj)
         sim.vertex_ops = dict(graph.vertex_ops)
         return sim
 

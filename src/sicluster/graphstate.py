@@ -53,6 +53,35 @@ def _basis_name(basis) -> str:
     return name
 
 
+class BorrowedAdjacency(dict):
+    """An adjacency (vertex -> neighbour set) that borrows its sets from a
+    lender's until it reads them.
+
+    It starts as a shallow copy of the lender's dict, so every set is still
+    the lender's.  ``adj[v]`` swaps in a private copy of v's set the first
+    time it is read, so a rewrite that changes sets only through ``adj[v]``
+    never writes into the lender and copies only the sets it touches.  The
+    whole-graph views (``items()``, ``get``, ``==``) read each set as it is,
+    shared or private, and see the same graph.  The lender must not change
+    while it is borrowed.
+    """
+
+    __slots__ = ("lender",)
+
+    @classmethod
+    def of(cls, lender: dict) -> "BorrowedAdjacency":
+        adj = cls(lender)
+        adj.lender = lender
+        return adj
+
+    def __getitem__(self, v):
+        nbrs = dict.__getitem__(self, v)
+        if nbrs is self.lender.get(v):
+            nbrs = set(nbrs)
+            dict.__setitem__(self, v, nbrs)
+        return nbrs
+
+
 class MeasurementOutcomeRecord:
     """Ordered record of (vertex, basis, outcome) triples.
 

@@ -203,10 +203,13 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
 
     The dense backend accepts any angles and an arbitrary ``input_state``
     over ``pattern.inputs`` (cluster qubits not listed as inputs start in
-    |+>).  The stabilizer backend runs the graph-state engine on a copy of
-    the cluster; it is restricted to Pauli steps and |+> inputs and returns
-    the output as a graph state.  Both backends refuse a pattern that leaves
-    an unmeasured non-output vertex entangled with the outputs.
+    |+>).  The stabilizer backend runs the graph-state engine; it is
+    restricted to Pauli steps and |+> inputs and returns the output as a
+    graph state.  Both backends refuse a pattern that leaves an unmeasured
+    non-output vertex entangled with the outputs.  Both borrow the cluster's
+    adjacency and copy only the neighbour sets the pattern touches, so a
+    small pattern on a large cluster copies little; the cluster is never
+    changed, and must not change while the pattern runs.
     """
     _check_runnable(cluster, pattern)
     if rng is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from sicluster import cliffords
-from sicluster.graphstate import GraphState
+from sicluster.graphstate import BorrowedAdjacency, GraphState
 from sicluster.rng import draw_sign_bit
 from sicluster.tableau import (  # noqa: F401  (SizeCapError is re-exported)
     Basis,
@@ -273,17 +273,22 @@ class DenseRegister:
     (``StateVector.measure_out``).  A Z readout applies none: each pending
     CZ is a Z on the partner when the qubit reads 1.  Like the other
     engines, it takes its coins per readout: ``measure(q, basis, rng)``.
+
+    A graph's ``adjacency`` (qubit -> partner set, each edge listed at both
+    ends) starts one CZ per edge pending.  The register borrows it as a
+    :class:`~sicluster.graphstate.BorrowedAdjacency`, copying a partner set
+    only when it first reads it as ``pending[q]``, and never changes the
+    caller's sets; the adjacency must not change while the register is in
+    use.
     """
 
     def __init__(self, labels=(), psi=None, adjacency=None):
         # The array starts empty or holds psi, labels[0] on its leading axis.
-        # A graph's ``adjacency`` (qubit -> partner set, each edge listed at
-        # both ends) starts one CZ per edge pending.
         self.sv = StateVector(len(labels), psi)
         self.axes: list = list(labels)
         self.single: dict = {}
-        self.pending: dict = {  # qubit -> deferred CZ partners
-            q: set(partners) for q, partners in (adjacency or {}).items() if partners}
+        # qubit -> deferred CZ partners, each set changed only as pending[q]
+        self.pending: dict = {} if adjacency is None else BorrowedAdjacency.of(adjacency)
 
     def _attach(self, *qubits) -> None:
         """Move the detached qubits among ``qubits`` into sv as leading axes,
@@ -312,8 +317,13 @@ class DenseRegister:
             self.sv.apply_cz(self.axes.index(q), self.axes.index(p))
 
     def cz(self, a, b) -> None:
-        self.pending.setdefault(a, set()).symmetric_difference_update({b})
-        self.pending.setdefault(b, set()).symmetric_difference_update({a})
+        pending = self.pending
+        if a not in pending:
+            pending[a] = set()
+        if b not in pending:
+            pending[b] = set()
+        pending[a] ^= {b}
+        pending[b] ^= {a}
 
     def gate(self, name: str, q) -> None:
         name = name.upper()

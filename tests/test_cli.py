@@ -3,8 +3,10 @@
 import gc
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,28 @@ from sicluster.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NO_PATH, EXIT_RES
 from sicluster.lattice import DonorLattice, predicted_edge_set, standard_protocol
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(args):
     return main(list(args))
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The commands of the README's ``## CLI`` block in order, continuation
+    lines joined, comments and the leading ``sicluster`` dropped."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(c[0] == "sicluster" for c in commands), commands
+    return [c[1:] for c in commands]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # In order: the mbqc example reads the cluster the build above it writes.
+    monkeypatch.chdir(tmp_path)
+    for args in readme_cli_commands():
+        assert run_cli(args) == 0, args
 
 
 class TestBuildCluster:

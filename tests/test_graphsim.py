@@ -263,18 +263,31 @@ def test_bad_arguments():
 def test_from_graph_starts_in_the_graph_state(seed):
     # Arbitrary vertex ids become the engine's qubit labels; the engine then
     # tracks the tableau of the same graph state through a random circuit.
+    # It borrows the graph's neighbour sets and never changes them.
     rng = np.random.default_rng(700 + seed)
     n = 2 + seed % 6
     labels = [3 * i + 7 for i in range(n)]
     edges = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)
-             if rng.random() < 0.5]
+             if (a, b) == (0, 1) or rng.random() < 0.5]
     vops = {v: cliffords.ELEMENTS[int(rng.integers(24))] for v in labels}
     g = GraphState(labels, edges, vops)
-    before = g.copy()
+    before, lent = g.copy(), dict(g._adj)
     sim = GraphSimulator.from_graph(g)
     t = from_graph_state(g)
     assert same_stabilizer_group(from_graph_state(sim), t)
     c_sim, c_t = np.random.default_rng(seed), np.random.default_rng(seed)
+    # First an X readout with a swap partner: the hub's operator maps X onto
+    # the measured axis and the hub has neighbours.  Then a CZ whose two
+    # endpoints both need a reduction: neither operator preserves Z.
+    hub = max(range(n), key=lambda i: (g.degree(labels[i]), i))
+    basis = BASES[g.op(labels[hub]).x_axis]
+    assert sim.measure(labels[hub], basis, c_sim) == t.measure(hub, basis, c_t)
+    for i in (0, 1):
+        if sim.op(labels[i]).z_axis == 2:
+            sim.gate("H", labels[i])
+            t.apply_gate("H", i)
+    sim.cz(labels[0], labels[1])
+    t.apply_gate("CZ", 0, 1)
     for op in random_ops(n, 12, rng):
         if op[0] == "CZ":
             sim.cz(labels[op[1]], labels[op[2]])
@@ -286,4 +299,5 @@ def test_from_graph_starts_in_the_graph_state(seed):
             t.apply_gate(op[0], op[1])
     assert c_sim.bit_generator.state == c_t.bit_generator.state
     assert same_stabilizer_group(from_graph_state(sim), t)
-    assert g == before  # the engine works on its own copy
+    assert g == before
+    assert all(g._adj[v] is nbrs for v, nbrs in lent.items())

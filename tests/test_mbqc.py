@@ -1,6 +1,7 @@
 """Measurement patterns, adaptive execution, carving, logical verification."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sicluster import mbqc
-from sicluster.graphstate import GraphState, grid_graph, line_graph
+from sicluster.graphsim import GraphSimulator
+from sicluster.graphstate import BorrowedAdjacency, GraphState, grid_graph, line_graph
 from sicluster.mbqc import (
     MeasurementPattern,
     MeasurementStep,
@@ -212,6 +214,80 @@ def test_stabilizer_and_dense_executors_agree(case):
     relabel = {v: i for i, v in enumerate(pattern.outputs)}
     assert same_stabilizer_group(from_graph_state(stab.output_graph.relabeled(relabel)),
                                  tableau_from_statevector(dense.output_state.psi))
+
+
+@st.composite
+def refusable_pauli_patterns(draw):
+    """pauli_patterns, with one step sometimes turned into a non-Pauli angle
+    that the stabilizer backend refuses when it reaches it."""
+    cluster, pattern, seed = draw(pauli_patterns())
+    if pattern.steps and draw(st.booleans()):
+        j = draw(st.integers(0, len(pattern.steps) - 1))
+        pattern.steps[j] = MeasurementStep(pattern.steps[j].vertex, angle=np.pi / 3)
+    return cluster, pattern, seed
+
+
+def _run_summary(cluster, pattern, backend, seed):
+    """Everything a run returns, or its refusal, and the coins after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        res = execute_pattern(cluster, pattern, backend=backend, rng=rng)
+    except PatternError as exc:
+        return str(exc), rng.bit_generator.state
+    out = res.output_graph if res.output_state is None else res.output_state.psi.tobytes()
+    return (res.outcomes, res.order, res.frame, out), rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=refusable_pauli_patterns())
+def test_executors_borrow_the_cluster_without_changing_it(case):
+    # A run, refused or not, leaves each of the cluster's neighbour sets in
+    # place and unchanged, and returns what the same run returns on a copy
+    # of the cluster whose sets are all copied up front.
+    cluster, pattern, seed = case
+    lent = dict(cluster._adj)
+    contents = {v: frozenset(nbrs) for v, nbrs in lent.items()}
+    eager = mock.patch.object(BorrowedAdjacency, "of",
+                              lambda adj: {v: set(nbrs) for v, nbrs in adj.items()})
+    for backend in ("stabilizer", "statevector"):
+        got = _run_summary(cluster, pattern, backend, seed)
+        assert cluster._adj.keys() == lent.keys()
+        for v, nbrs in cluster._adj.items():
+            assert nbrs is lent[v] and nbrs == contents[v]
+        with eager:
+            assert got == _run_summary(cluster.copy(), pattern, backend, seed)
+
+
+@pytest.mark.parametrize("backend", ["stabilizer", "statevector"])
+def test_a_carve_copies_as_many_sets_on_any_grid(backend, monkeypatch):
+    # The engine copies only the neighbour sets the pattern reaches, so the
+    # same carve holds as many sets of its own on a 30x30 as on a 90x90 grid.
+    held = []
+    from_graph = GraphSimulator.from_graph.__func__
+    dense_init = DenseRegister.__init__
+
+    def spy_from_graph(cls, graph):
+        sim = from_graph(cls, graph)
+        held.append(sim._adj)
+        return sim
+
+    def spy_init(reg, *args, **kwargs):
+        dense_init(reg, *args, **kwargs)
+        held.append(reg.pending)
+
+    monkeypatch.setattr(GraphSimulator, "from_graph", classmethod(spy_from_graph))
+    monkeypatch.setattr(DenseRegister, "__init__", spy_init)
+    own = []
+    for side in (30, 90):
+        cluster = grid_graph(side, side)
+        pattern, path = carved_wire_pattern(cluster, 2 * side + 2, 2 * side + 12)
+        assert len(path) == 11
+        held.clear()
+        execute_pattern(cluster, pattern, backend=backend, rng=np.random.default_rng(5))
+        (adj,) = held
+        own.append(sum(nbrs is not cluster._adj.get(v) for v, nbrs in adj.items()))
+    assert own[0] == own[1] < 100, own
 
 
 def _eager_execute_dense(cluster, pattern, input_state, rng):

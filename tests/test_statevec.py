@@ -6,6 +6,7 @@ import pytest
 from conftest import EIGENSTATES, random_state_pair
 from sicluster.statevec import (
     MAT_H,
+    DenseRegister,
     MAX_QUBITS,
     SizeCapError,
     StateVector,
@@ -311,3 +312,17 @@ class TestSvRun:
                 else:
                     t.apply_gate(op[0], *op[1:])
             assert dense_out == tab_out
+
+
+def test_dense_register_cz_leaves_a_borrowed_adjacency_alone():
+    adj = {0: {1}, 1: {0, 2}, 2: {1}}
+    lent, contents = dict(adj), {v: set(nbrs) for v, nbrs in adj.items()}
+    reg = DenseRegister(adjacency=adj)
+    reg.cz(0, 1)  # cancels a borrowed edge
+    reg.cz(2, 0)
+    reg.cz(2, 3)  # reaches a qubit the adjacency does not name
+    assert adj == contents and all(adj[v] is nbrs for v, nbrs in lent.items())
+    assert reg.pending == {0: {2}, 1: {2}, 2: {0, 1, 3}, 3: {2}}
+    _, want = graph_to_statevector(GraphState(range(4), [(0, 2), (1, 2), (2, 3)]))
+    got = reg.gather([0, 1, 2, 3]).reshape(-1)
+    assert np.allclose(got, want.psi)
