@@ -397,6 +397,7 @@ def export(g: GraphState, fmt: str) -> bytes:
 
 def graph_from_json(text: str) -> GraphState:
     doc = json.loads(text)
+    check_site_cap(len(doc["vertices"]))
     g = GraphState((v["id"] for v in doc["vertices"]), doc["edges"])
     for v in doc["vertices"]:
         if v.get("op", "I") != "I":

@@ -21,6 +21,7 @@ line gives Rx(gamma) Rz(beta) Rx(alpha) up to the tracked byproducts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,7 +33,7 @@ from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.lattice import PauliFrame
 from sicluster.rng import substream
-from sicluster.statevec import DenseRegister, StateVector
+from sicluster.statevec import BatchDivergence, DenseRegister, SizeCapError, StateVector
 from sicluster.tableau import (  # noqa: F401  (the benchmark tracer patches the last two here)
     Basis,
     from_graph_state,
@@ -242,12 +243,16 @@ def _effective_angle(st: MeasurementStep, outcomes: dict[int, int]) -> float:
 
 
 def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
+    """The dense backend.  A batched ``input_state`` runs all its slices in
+    one pass and returns a batched output state; it raises
+    ``BatchDivergence`` at a readout whose slices would take different
+    branches."""
     if input_state is None:
         reg = DenseRegister(adjacency=cluster._adj)
     elif input_state.n != len(pattern.inputs):
         raise PatternError("input state size does not match pattern inputs")
     else:
-        reg = DenseRegister(pattern.inputs, input_state.psi, cluster._adj)
+        reg = DenseRegister(pattern.inputs, input_state.psi, cluster._adj, input_state.batch)
     outcomes: dict[int, int] = {}
     order: list[int] = []
     for st in pattern.steps:
@@ -256,12 +261,14 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
         order.append(st.vertex)
 
     outs = list(pattern.outputs)
-    mat = reg.gather(outs).reshape(1 << len(outs), -1)
-    if mat.shape[1] > 1:
+    batch = reg.sv.batch
+    # One (outputs x rest) matrix per slice.
+    mat = reg.gather(outs).reshape(1 << len(outs), -1, batch).transpose(2, 0, 1)
+    if mat.shape[2] > 1:
         # Unmeasured vertices still in the array are tolerated only when the
         # pattern has disentangled them from the outputs: demand a pure trace.
-        rho = mat @ mat.conj().T
-        purity = float(np.real(np.trace(rho @ rho)))
+        rho = mat @ mat.conj().transpose(0, 2, 1)
+        purity = float(np.einsum("bij,bji->b", rho, rho).real.min())
         if purity < 1 - 1e-9:
             # Name the unmeasured vertices the array holds beside the outputs:
             # those the outputs can be entangled with.
@@ -269,11 +276,12 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
             raise PatternError(
                 "pattern leaves unmeasured vertices entangled with the outputs: "
                 f"{stragglers} (purity {purity:.6f})")
-        psi = np.linalg.eigh(rho)[1][:, -1]
+        psi = np.linalg.eigh(rho)[1][:, :, -1]
     else:
-        psi = mat[:, 0] / np.linalg.norm(mat)
+        psi = mat[:, :, 0] / np.linalg.norm(mat, axis=(1, 2))[:, None]
     frame = _frame_from_corrections(pattern, outcomes)
-    return PatternResult(outcomes, order, frame, output_state=StateVector(len(outs), psi))
+    return PatternResult(outcomes, order, frame,
+                         output_state=StateVector(len(outs), psi.T, batch))
 
 
 def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
@@ -417,8 +425,8 @@ def carved_wire_pattern(cluster: GraphState, start: int, end: int,
         angles = [0.0] * (len(path) - 1)
     elif len(angles) != len(path) - 1:
         raise PatternError(f"need {len(path) - 1} angles for this path")
-    cut = [st.vertex for st in prefix]
-    pre_z = {v: {u for u in cut if cluster.has_edge(u, v)} for v in path}
+    cut = {st.vertex for st in prefix}
+    pre_z = {v: cluster._adj[v] & cut for v in path}
     pattern = chain_pattern(angles, vertices=path, pre_z=pre_z)
     pattern.steps = prefix + pattern.steps
     return pattern, path
@@ -474,6 +482,17 @@ _BASIS_STATES = {
 }
 
 
+@functools.cache
+def _spanning_inputs(k: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names of the 4^k product inputs and their states, one per column
+    (read-only, as every caller gets the same array)."""
+    combos = list(itertools.product(_BASIS_STATES, repeat=k))
+    states = np.array([functools.reduce(np.kron, map(_BASIS_STATES.get, combo), np.ones(1))
+                       for combo in combos]).T
+    states.flags.writeable = False
+    return tuple("|" + ",".join(combo) + ">" for combo in combos), states
+
+
 @dataclass
 class LogicalChannelReport:
     distance: float
@@ -496,13 +515,24 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     distance would amplify double-precision roundoff to ~1e-8 and could
     never certify at the 1e-9 level; the fidelity gap is zero iff the
     channels coincide up to global phase, which is the property needed.)
+
+    Each seed runs all 4^k inputs as one batch on its coin substream: in a
+    pattern with flow every branch is equally likely whatever the input
+    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), so the inputs
+    take one branch.  If a batch diverges, or is refused (by the dense cap,
+    which counts its log2 4^k batch bits, or by the purity check), the check
+    runs input by input instead, each input and seed on a fresh substream:
+    the runs, outcomes and refusals ``execute_pattern`` would give.
     """
-    seeds = list(seeds)  # iterated once per input state; a generator would not be
+    seeds = list(seeds)  # iterated again by the input-by-input runs; a generator would not be
     if not seeds:
         raise PatternError("logical verification needs at least one seed")
     k = len(pattern.inputs)
     if k > 2:
         raise PatternError("logical verification is limited to 2 logical qubits")
+    if len(pattern.outputs) != k:
+        raise PatternError(f"logical verification needs as many outputs as inputs, "
+                           f"got {len(pattern.outputs)} outputs for {k} inputs")
     dim = 1 << k
     target = np.asarray(target, complex)
     if target.shape != (dim, dim):
@@ -510,29 +540,34 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     if not np.all(np.isfinite(target)):
         raise PatternError("target must be finite")
     _check_runnable(cluster, pattern)
-    idx = {v: i for i, v in enumerate(pattern.outputs)}
-    labels = list(_BASIS_STATES)
-    per_input: dict[str, float] = {}
-    worst = 0.0
-    for combo in itertools.product(labels, repeat=k):
-        vec = np.array([1.0], complex)
-        for lab in combo:
-            vec = np.kron(vec, _BASIS_STATES[lab])
-        expected = target @ vec
-        name = "|" + ",".join(combo) + ">"
-        inp = StateVector(k, vec)
-        dmax = 0.0
-        for s in seeds:
-            rng = substream(root_seed, "verify", int(s))
-            res = _execute_dense(cluster, pattern, inp, rng)
-            out = res.output_state
-            for v in res.frame.x:
-                out.apply_gate("X", idx[v])
-            for v in res.frame.z:
-                out.apply_gate("Z", idx[v])
-            fid = min(1.0, float(abs(np.vdot(expected, out.psi))))
-            dmax = max(dmax, 1.0 - fid)
-        per_input[name] = dmax
-        worst = max(worst, dmax)
-    return LogicalChannelReport(distance=worst, per_input=per_input,
+    names, inputs = _spanning_inputs(k)
+    expected = target @ inputs
+    try:
+        batch = StateVector(k, inputs, len(names))
+        dist = np.max([_distances(cluster, pattern, batch, expected, root_seed, s)
+                       for s in seeds], axis=0)
+    except (BatchDivergence, SizeCapError, PatternError):
+        dist = []
+        for b in range(len(names)):
+            inp = StateVector(k, inputs[:, b])
+            dist.append(max(_distances(cluster, pattern, inp, expected[:, [b]], root_seed, s)[0]
+                            for s in seeds))
+    per_input = {name: float(d) for name, d in zip(names, dist)}
+    return LogicalChannelReport(distance=max(per_input.values()), per_input=per_input,
                                 n_seeds=len(seeds), target_shape=target.shape)
+
+
+def _distances(cluster, pattern, inputs: StateVector, expected, root_seed, seed) -> np.ndarray:
+    """1 - fidelity to each column of ``expected`` of the frame-corrected
+    output of one dense run of the batch ``inputs`` on the coin substream
+    of ``seed``."""
+    batch = inputs.batch
+    res = _execute_dense(cluster, pattern, inputs, substream(root_seed, "verify", int(seed)))
+    out = res.output_state
+    idx = {v: i for i, v in enumerate(pattern.outputs)}
+    for v in res.frame.x:
+        out.apply_gate("X", idx[v])
+    for v in res.frame.z:
+        out.apply_gate("Z", idx[v])
+    fid = np.abs(np.einsum("ib,ib->b", expected.conj(), out.psi.reshape(-1, batch)))
+    return 1.0 - np.minimum(1.0, fid)

@@ -24,10 +24,11 @@ def substream(seed: int, *labels: str | int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=keys)))
 
 
-def draw_sign_bit(rng: np.random.Generator, p_minus: float) -> int:
+def draw_sign_bit(rng: np.random.Generator, p_minus: float | np.ndarray) -> int | np.ndarray:
     """One outcome draw: returns 1 (outcome -1) with probability p_minus.
 
     Both simulation backends use this single helper so that identical seeds
-    give identical measurement transcripts.
+    give identical measurement transcripts.  Given an array of
+    probabilities, the one draw decides each entry: an array of bits.
     """
-    return 1 if rng.random() < p_minus else 0
+    return (rng.random() < p_minus) * 1

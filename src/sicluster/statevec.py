@@ -2,7 +2,9 @@
 
 Capped at 22 qubits (64 MiB of complex amplitudes).  Qubit q is tensor axis
 q of the amplitude array reshaped to [2]*n, i.e. basis index bit weight
-2^(n-1-q).  Norm is maintained to 1e-9 and checked.
+2^(n-1-q).  Norm is maintained to 1e-9 and checked.  An array may carry a
+trailing batch axis of B independent states on the same qubits; the batch
+bits count against the cap.
 
 ``DenseRegister``, the dense register of the protocol oracle and the MBQC
 executor, defers every CZ until a readout needs one of its ends and drops
@@ -54,36 +56,78 @@ def _eigvecs(basis: Basis | float) -> tuple[np.ndarray, np.ndarray]:
     """The (+1, -1) eigenvectors of X or Y, or of cos(a) X + sin(a) Y."""
     if isinstance(basis, Basis):
         return _PAULI_EIGVECS[basis]
-    frame = mat_rz(basis) @ MAT_H
-    return frame[:, 0], frame[:, 1]
+    # The columns of mat_rz(basis) @ MAT_H.
+    lo, hi = _SQ2 * np.exp(-0.5j * basis), _SQ2 * np.exp(0.5j * basis)
+    return np.array([lo, hi]), np.array([lo, -hi])
 
 
 def _sq_norm(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a.real, a.real) + np.einsum("ij,ij->", a.imag, a.imag))
 
 
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """The squared norm of each slice of a 3-axis array whose last axis is the batch."""
+    return np.einsum("ijk,ijk->k", a.real, a.real) + np.einsum("ijk,ijk->k", a.imag, a.imag)
+
+
+def _check_cap(n: int, batch: int) -> None:
+    """Refuse an array of n qubits and ``batch`` slices past the dense cap."""
+    if n > MAX_QUBITS:
+        raise SizeCapError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+    if batch << n > 1 << MAX_QUBITS:
+        raise SizeCapError(
+            f"{n} qubits in a batch of {batch} exceed the dense cap of {MAX_QUBITS}")
+
+
+def _shared_branch(p: np.ndarray, rng) -> tuple[bool, int]:
+    """(deterministic, bit) of a batched readout whose slices read -1 with
+    probabilities ``p``.  A random outcome takes one coin, which decides
+    every slice; raises BatchDivergence unless all slices take one branch."""
+    probs = p.tolist()
+    lo, hi = min(probs), max(probs)
+    if hi < ATOL or lo > 1 - ATOL:
+        return True, int(lo > 1 - ATOL)
+    if lo < ATOL or hi > 1 - ATOL:
+        raise BatchDivergence("batch slices take different branches")
+    bits = set(draw_sign_bit(rng, p).tolist())
+    if len(bits) > 1:
+        raise BatchDivergence("batch slices take different branches")
+    return False, bits.pop()
+
+
 class ZeroProbabilityError(RuntimeError):
     """Raised when projecting onto a zero-probability branch."""
+
+
+class BatchDivergence(RuntimeError):
+    """Raised when the slices of a batched readout would take different
+    branches; the state is left as it was."""
 
 
 class StateVector:
     """A pure state on n <= 22 qubits with in-place gate application.
 
-    n = 0 is the empty register: one amplitude, a global phase.
+    n = 0 is the empty register: one amplitude, a global phase.  With
+    ``batch`` = B the array holds B states on the same qubits, the slice
+    index running fastest (``psi`` read as [2^n, B]); ``n`` counts qubits
+    only, and n + log2 B must fit the cap.  Gates act on every slice, and a
+    readout takes one branch for all of them (``BatchDivergence`` if they
+    would not).  ``prob_one``, ``contract``, ``expectation`` and
+    ``fidelity`` read a batch of one.
     """
 
-    def __init__(self, n: int, psi: np.ndarray | None = None):
+    def __init__(self, n: int, psi: np.ndarray | None = None, batch: int = 1):
         if n < 0:
             raise ValueError("negative qubit count")
-        if n > MAX_QUBITS:
-            raise SizeCapError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+        _check_cap(n, batch)
         self.n = n
+        self.batch = batch
         if psi is None:
-            self.psi = np.zeros(1 << n, dtype=complex)
-            self.psi[0] = 1.0
+            self.psi = np.zeros(batch << n, dtype=complex)
+            self.psi[:batch] = 1.0
         else:
             psi = np.asarray(psi, dtype=complex).reshape(-1)
-            if psi.shape[0] != 1 << n:
+            if psi.shape[0] != batch << n:
                 raise ValueError("amplitude count does not match qubit count")
             self.psi = psi.copy()
             self._check_norm()
@@ -95,16 +139,22 @@ class StateVector:
         return sv
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n, self.psi)
+        return StateVector(self.n, self.psi, self.batch)
 
     def _check_norm(self) -> None:
-        if abs(np.linalg.norm(self.psi) - 1.0) > 1e-7:
+        if any(abs(np.linalg.norm(s) - 1.0) > 1e-7 for s in self.psi.reshape(-1, self.batch).T):
             raise AssertionError("state norm drifted")
+
+    def _tensor(self) -> np.ndarray:
+        """The amplitudes as a [2]*n tensor, with the batch axis last."""
+        return self.psi.reshape([2] * self.n + [self.batch])
 
     # -- gates ----------------------------------------------------------------
 
     def _axis_view(self, q: int) -> np.ndarray:
-        return self.psi.reshape(1 << q, 2, 1 << (self.n - 1 - q))
+        """Qubit q as the middle axis; the last one runs over the later
+        qubits and the batch."""
+        return self.psi.reshape(1 << q, 2, -1)
 
     def apply_1q(self, mat: np.ndarray, q: int) -> "StateVector":
         view = self._axis_view(q)
@@ -130,23 +180,13 @@ class StateVector:
     def apply_cz(self, a: int, b: int) -> "StateVector":
         if a == b:
             raise ValueError("CZ targets must differ")
-        psi = self.psi.reshape([2] * self.n)
-        idx = [slice(None)] * self.n
-        idx[a] = 1
-        idx[b] = 1
-        psi[tuple(idx)] *= -1
-        return self
-
-    def apply_cphase(self, theta: float, a: int, b: int) -> "StateVector":
-        psi = self.psi.reshape([2] * self.n)
-        idx = [slice(None)] * self.n
-        idx[a] = 1
-        idx[b] = 1
-        psi[tuple(idx)] *= np.exp(1j * theta)
+        if a > b:
+            a, b = b, a
+        self.psi.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)[:, 1, :, 1, :] *= -1
         return self
 
     def apply_cnot(self, a: int, b: int) -> "StateVector":
-        psi = self.psi.reshape([2] * self.n)
+        psi = self._tensor()
         psi = np.moveaxis(psi, (a, b), (0, 1))
         psi[1] = psi[1, ::-1]
         self.psi = np.moveaxis(psi, (0, 1), (a, b)).reshape(-1)
@@ -177,38 +217,44 @@ class StateVector:
         exactly one draw.  With ``drop`` the projected half-size amplitudes
         become the state and qubit q is gone; otherwise q is left in the
         observed eigenstate.  Returns (outcome, deterministic, eigenvector).
+
+        A batch reads its probabilities per slice and takes one branch for
+        all of them, drawing at most one coin; slices that disagree on
+        whether the outcome is random, or on the outcome, raise
+        ``BatchDivergence`` before the state changes.
         """
         view = self._axis_view(q)
         x0, x1 = view[:, 0, :], view[:, 1, :]
+        if self.batch > 1:  # split the batch axis off, to scale each slice alone
+            x0, x1 = (x.reshape(x.shape[0], -1, self.batch) for x in (x0, x1))
         if basis is Basis.Z:
             v_plus, v_minus = KET_ZERO, KET_ONE
             a_minus = x1
-            p_minus = self.prob_one(q)
         else:
             v_plus, v_minus = _eigvecs(basis)
             a_minus = np.conj(v_minus[0]) * x0 + np.conj(v_minus[1]) * x1
+        if self.batch == 1:
             p_minus = _sq_norm(a_minus)
-        if p_minus < ATOL:
-            outcome, det, bit = 1, True, 0
-        elif p_minus > 1 - ATOL:
-            outcome, det, bit = -1, True, 1
+            det = p_minus < ATOL or p_minus > 1 - ATOL
+            bit = int(p_minus > 0.5) if det else draw_sign_bit(rng, p_minus)
         else:
-            bit = draw_sign_bit(rng, p_minus)
-            outcome, det = (-1 if bit else 1), False
+            p_minus = _sq_norms(a_minus)
+            det, bit = _shared_branch(p_minus, rng)
+        # Either branch's probability is at least ATOL, in every slice.
         if bit:
             amp = a_minus * (1.0 / np.sqrt(p_minus))
             vec = v_minus
         else:
             a_plus = x0 if basis is Basis.Z else np.conj(v_plus[0]) * x0 + np.conj(v_plus[1]) * x1
-            amp = a_plus * (1.0 / np.sqrt(max(1.0 - p_minus, ATOL)))
+            amp = a_plus * (1.0 / np.sqrt(1.0 - p_minus))
             vec = v_plus
         if drop:
             self.n -= 1
             self.psi = amp.reshape(-1)
         else:
-            view[:, 0, :] = vec[0] * amp
-            view[:, 1, :] = vec[1] * amp
-        return outcome, det, vec
+            x0[...] = vec[0] * amp
+            x1[...] = vec[1] * amp
+        return (-1 if bit else 1), det, vec
 
     def measure(self, q: int, basis: Basis, rng) -> tuple[int, bool]:
         """Projective Pauli measurement; returns (outcome, deterministic).
@@ -243,7 +289,7 @@ class StateVector:
             raise ZeroProbabilityError(
                 f"qubit {q} is not in the requested product state (norm {norm:.3g})")
         out = StateVector.__new__(StateVector)
-        out.n = self.n - 1
+        out.n, out.batch = self.n - 1, 1
         out.psi = (new / norm).reshape(-1)
         return out
 
@@ -280,11 +326,18 @@ class DenseRegister:
     only when it first reads it as ``pending[q]``, and never changes the
     caller's sets; the adjacency must not change while the register is in
     use.
+
+    With ``batch`` = B, ``psi`` holds B states of the labelled qubits (see
+    ``StateVector``) and the register runs all of them at once: each
+    readout takes one branch for every slice, or raises
+    ``BatchDivergence``.  Only the array is batched; the qubits it has not
+    attached are the same in every slice.  ``sv.n`` counts qubits only,
+    but the batch bits count against the dense cap.
     """
 
-    def __init__(self, labels=(), psi=None, adjacency=None):
+    def __init__(self, labels=(), psi=None, adjacency=None, batch: int = 1):
         # The array starts empty or holds psi, labels[0] on its leading axis.
-        self.sv = StateVector(len(labels), psi)
+        self.sv = StateVector(len(labels), psi, batch)
         self.axes: list = list(labels)
         self.single: dict = {}
         # qubit -> deferred CZ partners, each set changed only as pending[q]
@@ -297,8 +350,7 @@ class DenseRegister:
         if not new:
             return
         n = self.sv.n + len(new)
-        if n > MAX_QUBITS:
-            raise SizeCapError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+        _check_cap(n, self.sv.batch)
         ket = self.single.pop(new[0], KET_PLUS)
         for q in new[1:]:
             ket = np.multiply.outer(ket, self.single.pop(q, KET_PLUS)).reshape(-1)
@@ -354,7 +406,8 @@ class DenseRegister:
 
     def gather(self, qubits) -> np.ndarray:
         """Apply every deferred CZ reachable from ``qubits`` or the array; return
-        the array, now in a product with the rest, with ``qubits`` leading."""
+        the array, now in a product with the rest, as a [2]*n + [batch]
+        tensor with ``qubits`` leading."""
         self._attach(*qubits)
         todo = list(self.axes)
         while todo:
@@ -363,40 +416,8 @@ class DenseRegister:
                 todo += self.pending[q]
                 self._flush(q)
         order = list(qubits) + [q for q in self.axes if q not in qubits]
-        return self.sv.psi.reshape([2] * self.sv.n).transpose(
-            [self.axes.index(q) for q in order])
-
-
-def sv_run(source, operations, rng=None) -> tuple[StateVector, list[tuple[int, str, int]]]:
-    """Convenience driver: prepare, apply a gate list, collect measurements.
-
-    ``source`` is a qubit count (all-|+> register) or a GraphState.
-    Operations are tuples: ("H"|"S"|"SDG"|"X"|"Y"|"Z", q), ("CZ"|"CNOT", a, b),
-    ("CPHASE", theta, a, b), ("M", q, "X"|"Y"|"Z").  Returns the final state
-    and the ordered (qubit, basis, outcome) measurement list.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if isinstance(source, GraphState):
-        _, sv = graph_to_statevector(source)
-    else:
-        sv = StateVector.all_plus(int(source))
-    outcomes: list[tuple[int, str, int]] = []
-    for op in operations:
-        name = op[0].upper()
-        if name == "M":
-            _, q, basis = op
-            out, _ = sv.measure(q, Basis(basis), rng)
-            outcomes.append((q, basis, out))
-        elif name == "CZ":
-            sv.apply_cz(op[1], op[2])
-        elif name in ("CNOT", "CX"):
-            sv.apply_cnot(op[1], op[2])
-        elif name == "CPHASE":
-            sv.apply_cphase(op[1], op[2], op[3])
-        else:
-            sv.apply_gate(name, op[1])
-    return sv, outcomes
+        return self.sv._tensor().transpose(
+            [self.axes.index(q) for q in order] + [self.sv.n])
 
 
 def graph_to_statevector(g: GraphState) -> tuple[list[int], StateVector]:

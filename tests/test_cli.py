@@ -296,6 +296,18 @@ class TestMbqc:
         assert rc == 0
         assert json.loads(out.read_text())["channel_distance"] < 1e-9
 
+    def test_pattern_with_more_outputs_than_inputs_is_a_config_error(self, tmp_path, capsys):
+        from sicluster.mbqc import MeasurementPattern
+
+        pf = tmp_path / "p.json"
+        pf.write_text(MeasurementPattern([0], [0, 1], []).to_json())
+        out = tmp_path / "r.json"
+        rc = run_cli(["mbqc", "--cluster", "line:2", "--pattern", str(pf),
+                      "--target", "identity", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "as many outputs as inputs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_builtin_wire_length(self):
         assert run_cli(["mbqc", "--cluster", "line:3", "--builtin", "wire:abc"]) == EXIT_CONFIG
 
@@ -541,6 +553,29 @@ print(main(["build-cluster", "--config", {str(cfg)!r}, "--out", {str(out)!r}]))
         assert proc.stdout.split() == ["engine", "66000", "66000", str(EXIT_RESOURCE)], proc.stderr
         assert "a 33000-qubit graph reduction exceeds the 2 GiB tableau cap" in proc.stderr
         assert not out.exists()
+
+    def test_oversized_cluster_file_refused_before_building(self, tmp_path, monkeypatch, capsys):
+        from sicluster import graphstate
+
+        monkeypatch.setattr(graphstate, "MAX_SITES", 3)
+        built = []
+        init = graphstate.GraphState.__init__
+
+        def spy_init(g, *args, **kwargs):
+            built.append(g)
+            init(g, *args, **kwargs)
+
+        monkeypatch.setattr(graphstate.GraphState, "__init__", spy_init)
+        for n, rc in ((4, EXIT_RESOURCE), (3, 0)):
+            doc = {"vertices": [{"id": v, "op": "I"} for v in range(n)],
+                   "edges": [[v, v + 1] for v in range(n - 1)]}
+            path = tmp_path / f"line{n}.json"
+            path.write_text(json.dumps(doc))
+            built.clear()
+            assert run_cli(["mbqc", "--cluster", f"file:{path}", "--builtin", "wire:3",
+                            "--out", str(tmp_path / "r.json")]) == rc
+            assert bool(built) == (rc == 0)
+        assert "4 sites is above the cap of 3" in capsys.readouterr().err
 
     def test_cap_is_inclusive(self):
         from sicluster.graphstate import MAX_SITES, SizeCapError, check_site_cap, line_graph

@@ -1,14 +1,15 @@
 """Measurement patterns, adaptive execution, carving, logical verification."""
 
+import itertools
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sicluster import mbqc
+from sicluster import mbqc, statevec
 from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import BorrowedAdjacency, GraphState, grid_graph, line_graph
 from sicluster.mbqc import (
@@ -26,7 +27,8 @@ from sicluster.mbqc import (
     verify_logical,
     wire_pattern,
 )
-from sicluster.statevec import DenseRegister, StateVector, tableau_from_statevector
+from sicluster.rng import substream
+from sicluster.statevec import DenseRegister, SizeCapError, StateVector, tableau_from_statevector
 from sicluster.tableau import Basis, from_graph_state, same_stabilizer_group
 
 
@@ -498,6 +500,168 @@ class TestLogicalChannels:
         with pytest.raises(PatternError):
             verify_logical(GraphState(range(3)), pat, np.eye(8))
 
+    def test_more_outputs_than_inputs_rejected(self):
+        pat = MeasurementPattern([0], [0, 1], [])
+        with pytest.raises(PatternError, match="as many outputs as inputs"):
+            verify_logical(line_graph(2), pat, np.eye(2))
+
+
+def _reference_verify_logical(cluster, pattern, target, seeds, root_seed=0):
+    """``verify_logical``'s per-input distances as a loop of single runs,
+    input by input: one ``execute_pattern`` per (input, seed), each on a
+    fresh coin substream."""
+    kets = {"0": [1, 0], "1": [0, 1], "+": [1, 1], "+i": [1, 1j]}
+    per_input = {}
+    for combo in itertools.product(kets, repeat=len(pattern.inputs)):
+        vec = np.ones(1, complex)
+        for lab in combo:
+            vec = np.kron(vec, np.array(kets[lab], complex) / np.linalg.norm(kets[lab]))
+        expected = target @ vec
+        dmax = 0.0
+        for s in seeds:
+            res = execute_pattern(cluster, pattern, StateVector(len(combo), vec),
+                                  rng=substream(root_seed, "verify", s))
+            out = res.output_state
+            for v in res.frame.x:
+                out.apply_gate("X", pattern.outputs.index(v))
+            for v in res.frame.z:
+                out.apply_gate("Z", pattern.outputs.index(v))
+            dmax = max(dmax, 1.0 - min(1.0, float(abs(np.vdot(expected, out.psi)))))
+        per_input["|" + ",".join(combo) + ">"] = dmax
+    return per_input
+
+
+def _z_read_input_case():
+    """A 3-vertex wire whose input is read in Z: |0> and |1> give different
+    deterministic outcomes, so every batch diverges at its first readout."""
+    pattern = MeasurementPattern([0], [2], [MeasurementStep(0, basis="Z"),
+                                            MeasurementStep(1, basis="X")],
+                                 {2: {"x": frozenset({1}), "z": frozenset({0})}})
+    return line_graph(3), pattern, np.eye(2, dtype=complex), range(3), 0, None
+
+
+def _refused_carve_case():
+    """The wire 0-1-11-21-20 of a 10x10 grid detours round dead vertex 10,
+    which stays unmeasured and entangled with the output."""
+    cluster = grid_graph(10, 10)
+    pattern, _ = carved_wire_pattern(cluster, 0, 20, {10})
+    return cluster, pattern, np.eye(2, dtype=complex), range(5), 0, None
+
+
+@st.composite
+def logical_cases(draw):
+    """A graph of 2-7 vertices, a pattern with k = 1 or 2 inputs and as many
+    outputs whose X/Y/Z/angle steps (with adaptation) may read inputs in Z and
+    may leave a straggler, a random unitary target, seeds and a dense cap
+    that is sometimes too small for the batch, or for the pattern."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    k = draw(st.integers(1, 2))
+    order = draw(st.permutations(range(n)))
+    outputs, rest = order[:k], order[k:]
+    inputs = draw(st.permutations(range(n)))[:k]
+    measured = rest[:len(rest) - draw(st.sampled_from([0, 0, 0, 1]))]
+    steps = []
+    for j, v in enumerate(measured):
+        kind = draw(st.sampled_from(["X", "Y", "Z", "angle"]))
+        if kind == "Z":
+            steps.append(MeasurementStep(v, basis="Z"))
+            continue
+        deps = [draw(st.sets(st.sampled_from(measured[:j]))) if j else set() for _ in range(2)]
+        if kind == "angle":
+            angle = draw(st.floats(-np.pi, np.pi, allow_nan=False))
+            steps.append(MeasurementStep(v, angle=angle, s_adapt=deps[0], t_adapt=deps[1]))
+        else:
+            steps.append(MeasurementStep(v, basis=kind, s_adapt=deps[0], t_adapt=deps[1]))
+    earlier = st.sets(st.sampled_from(measured)) if measured else st.just(set())
+    corrections = {v: {"x": draw(earlier), "z": draw(earlier)} for v in outputs}
+    pattern = MeasurementPattern(inputs, outputs, steps, corrections)
+    amps = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(2, 1 << k, 1 << k))
+    target = np.linalg.qr(amps[0] + 1j * amps[1])[0]
+    seeds = range(draw(st.integers(1, 3)))
+    cap = draw(st.sampled_from([None, None, 2, 3, 4, 5]))
+    return GraphState(range(n), edges), pattern, target, seeds, draw(st.integers(0, 99)), cap
+
+
+def _run_or_refusal(run):
+    try:
+        return run()
+    except (PatternError, SizeCapError) as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=logical_cases())
+@example(case=_z_read_input_case())
+@example(case=_refused_carve_case())
+@example(case=(line_graph(5), rotation_chain_pattern(0.3, -1.1, 0.7),
+               rotation_chain_target(0.3, -1.1, 0.7), range(3), 4, 3))
+def test_batched_check_matches_the_per_input_loop(case):
+    """One batched run per seed gives the per-input loop's distances, or its
+    refusal, also when the batch diverges or does not fit the cap (the last
+    example holds 2 qubits, and its batch of 4 needs 2 more bits than a cap
+    of 3 leaves)."""
+    cluster, pattern, target, seeds, root_seed, cap = case
+    with mock.patch.object(statevec, "MAX_QUBITS", cap or statevec.MAX_QUBITS):
+        got = _run_or_refusal(lambda: verify_logical(cluster, pattern, target, seeds, root_seed))
+        want = _run_or_refusal(
+            lambda: _reference_verify_logical(cluster, pattern, target, seeds, root_seed))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert list(got.per_input) == list(want)
+    assert all(abs(got.per_input[name] - d) <= 1e-15 for name, d in want.items()), \
+        (got.per_input, want)
+    assert got.distance == max(got.per_input.values())
+
+
+def _spy_dense_batches(monkeypatch) -> list[int]:
+    """Record the batch size of every dense execution."""
+    batches = []
+    run = mbqc._execute_dense
+
+    def spy(cluster, pattern, input_state, rng):
+        batches.append(1 if input_state is None else input_state.batch)
+        return run(cluster, pattern, input_state, rng)
+
+    monkeypatch.setattr(mbqc, "_execute_dense", spy)
+    return batches
+
+
+class TestBatchedLogicalCheck:
+    def test_one_dense_run_per_seed(self, monkeypatch):
+        batches = _spy_dense_batches(monkeypatch)
+        rep = verify_logical(line_graph(5), rotation_chain_pattern(0.1, 0.2, 0.3),
+                             rotation_chain_target(0.1, 0.2, 0.3), seeds=range(5))
+        assert rep.distance < 1e-9
+        assert batches == [4] * 5
+        batches.clear()
+        cluster, pattern = cz_pattern()
+        verify_logical(cluster, pattern, np.diag([1, 1, 1, -1]), seeds=range(2))
+        assert batches == [16] * 2
+
+    def test_divergent_batch_runs_input_by_input(self, monkeypatch):
+        cluster, pattern, target, seeds, _, _ = _z_read_input_case()
+        batches = _spy_dense_batches(monkeypatch)
+        rep = verify_logical(cluster, pattern, target, seeds)
+        assert batches == [4] + [1] * 12
+        assert rep.per_input == _reference_verify_logical(cluster, pattern, target, seeds)
+
+    def test_batch_past_the_cap_runs_input_by_input(self, monkeypatch):
+        monkeypatch.setattr(statevec, "MAX_QUBITS", 3)
+        batches = _spy_dense_batches(monkeypatch)
+        rep = verify_logical(line_graph(5), rotation_chain_pattern(0.1, 0.2, 0.3),
+                             rotation_chain_target(0.1, 0.2, 0.3), seeds=range(2))
+        assert rep.distance < 1e-9
+        assert batches == [4] + [1] * 8
+
+    def test_refused_carve_still_names_its_straggler(self):
+        cluster, pattern, target, seeds, _, _ = _refused_carve_case()
+        with pytest.raises(PatternError, match=r"entangled with the outputs: \[10\] \(purity"):
+            verify_logical(cluster, pattern, target, seeds)
+
 
 class TestCarving:
     def test_straight_row(self):
@@ -574,6 +738,26 @@ class TestCarving:
                                       angles=[0.0, -a, -b, -c])
         rep2 = verify_logical(g, pat2, rotation_chain_target(a, b, c), seeds=range(8))
         assert rep2.distance < 1e-9
+
+    def test_carved_pattern_matches_the_edge_scan(self):
+        """The Z marks of each path vertex, read off its neighbour set, give
+        the pattern that testing every cut vertex for an edge to it gave."""
+        rng = np.random.default_rng(21)
+        g = grid_graph(9, 9)
+        for _ in range(10):
+            dead = {int(v) for v in rng.choice(81, size=12, replace=False)}
+            live = [v for v in range(81) if v not in dead]
+            a, b = (int(x) for x in rng.choice(live, 2, replace=False))
+            try:
+                pattern, path = carved_wire_pattern(g, a, b, dead)
+            except NoPathError:
+                continue
+            prefix, _ = carve_wire(g, a, b, dead)
+            cut = [st.vertex for st in prefix]
+            pre_z = {v: {u for u in cut if g.has_edge(u, v)} for v in path}
+            want = chain_pattern([0.0] * (len(path) - 1), vertices=path, pre_z=pre_z)
+            want.steps = prefix + want.steps
+            assert pattern == want
 
     def test_edge_carrying_forbidden_vertex_fails_cleanly(self):
         # With a synthetic grid the forbidden vertex stays entangled with the

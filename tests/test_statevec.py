@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import EIGENSTATES, random_state_pair
+from sicluster import statevec
 from sicluster.statevec import (
+    KET_ONE,
+    KET_PLUS,
+    KET_ZERO,
     MAT_H,
+    BatchDivergence,
     DenseRegister,
     MAX_QUBITS,
     SizeCapError,
@@ -62,13 +67,11 @@ class TestBasics:
         val = sv.expectation(PauliString.from_label("+XZZ"))
         assert abs(val - 1) < 1e-12
 
-    def test_cnot_and_cphase(self):
+    def test_cnot(self):
         sv = StateVector(2)
         sv.apply_gate("X", 0)
         sv.apply_cnot(0, 1)
         assert abs(sv.psi[3] - 1) < 1e-12  # |11>
-        sv.apply_cphase(np.pi / 3, 0, 1)
-        assert abs(sv.psi[3] - np.exp(1j * np.pi / 3)) < 1e-12
 
 
 class TestMeasureFrames:
@@ -268,40 +271,94 @@ class TestSupportBasis:
         assert refused > 100
 
 
-class TestSvRun:
-    def test_plus_measure_z(self):
-        from sicluster.statevec import sv_run
+class TestBatchedReadout:
+    """A batch of states reads out each slice as it would alone, on one coin."""
 
+    @pytest.mark.parametrize("basis", _READOUTS, ids=str)
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_slices_read_out_as_they_would_alone(self, basis, drop):
+        rng = np.random.default_rng(23)
+        for seed in range(10):
+            n = int(rng.integers(1, 6))
+            q = int(rng.integers(n))
+            base = _random_dense(n, rng).psi
+            # Slices that differ by a global phase read out alike.
+            psi = np.stack([base * np.exp(1j * k) for k in range(3)], axis=1)
+            batch, coins = StateVector(n, psi, 3), np.random.default_rng(seed)
+            got = batch._measure(q, basis, coins, drop)
+            assert batch.n == n - drop and batch.psi.size == 3 << batch.n
+            for k in range(3):
+                one, ref_coins = StateVector(n, psi[:, k]), np.random.default_rng(seed)
+                want = one._measure(q, basis, ref_coins, drop)
+                assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+                assert coins.bit_generator.state == ref_coins.bit_generator.state
+                assert np.allclose(batch.psi.reshape(-1, 3)[:, k], one.psi, atol=1e-14)
+
+    @pytest.mark.parametrize("basis, kets, coins_drawn", [
+        (Basis.Z, [KET_ZERO, KET_ONE], 0),  # opposite deterministic outcomes
+        (Basis.X, [KET_PLUS, KET_ZERO], 0),  # deterministic against random
+        (Basis.Z, [[0.8 ** 0.5, 0.2 ** 0.5], [0.2 ** 0.5, 0.8 ** 0.5]], 1),  # coin 0.51
+    ])
+    def test_divergent_slices_leave_the_state_alone(self, basis, kets, coins_drawn):
+        psi = np.array(kets, complex).T
+        sv, rng = StateVector(1, psi, 2), np.random.default_rng(1)
+        with pytest.raises(BatchDivergence):
+            sv.measure_out(0, basis, rng)
+        assert sv.n == 1 and np.array_equal(sv.psi, psi.reshape(-1))
+        ref = np.random.default_rng(1)
+        ref.random(coins_drawn)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_batch_bits_count_against_the_cap(self, monkeypatch):
+        monkeypatch.setattr(statevec, "MAX_QUBITS", 4)
+        StateVector(2, batch=4)
+        with pytest.raises(SizeCapError, match="3 qubits in a batch of 4 exceed"):
+            StateVector(3, batch=4)
+        reg = DenseRegister([0, 1], np.full((4, 4), 0.5), batch=4)
+        reg.cz(1, 2)
+        with pytest.raises(SizeCapError, match="3 qubits in a batch of 4 exceed"):
+            reg.measure(1, Basis.X, np.random.default_rng(0))
+        assert reg.sv.n == 2
+
+
+class TestSvRun:
+    """Short scripted runs on a StateVector: prepare, apply gates, read out."""
+
+    def test_plus_measure_z(self):
         outs = set()
         for seed in range(20):
-            _, outcomes = sv_run(1, [("M", 0, "Z")], np.random.default_rng(seed))
-            outs.add(outcomes[0][2])
+            out, _ = StateVector.all_plus(1).measure(0, Basis.Z, np.random.default_rng(seed))
+            outs.add(out)
         assert outs == {1, -1}
 
     def test_cz_plus_plus_then_x(self):
-        from sicluster.statevec import sv_run
-
         for seed in range(10):
-            sv, outcomes = sv_run(2, [("CZ", 0, 1), ("M", 0, "X")],
-                                  np.random.default_rng(seed))
+            sv = StateVector.all_plus(2).apply_cz(0, 1)
+            sv.measure(0, Basis.X, np.random.default_rng(seed))
             # partner collapses to a Z eigenstate (H-related to |+->)
             p1 = sv.prob_one(1)
             assert p1 < 1e-9 or p1 > 1 - 1e-9
 
     def test_graph_source_parity(self):
-        from sicluster.statevec import sv_run
-
         tri = GraphState(range(3), [(0, 1), (0, 2), (1, 2)])
-        sv, _ = sv_run(tri, [])
+        _, sv = graph_to_statevector(tri)
         assert abs(sv.expectation(PauliString.from_label("+XZZ")) - 1) < 1e-12
 
     def test_matches_tableau_transcript(self):
-        from sicluster.statevec import sv_run
-
         ops = [("H", 0), ("CZ", 0, 1), ("CNOT", 1, 2), ("S", 2),
                ("M", 0, "Y"), ("M", 2, "X"), ("M", 1, "Z")]
         for seed in range(10):
-            _, dense_out = sv_run(3, ops, np.random.default_rng(seed))
+            sv, rng = StateVector.all_plus(3), np.random.default_rng(seed)
+            dense_out = []
+            for op in ops:
+                if op[0] == "M":
+                    dense_out.append((op[1], op[2], sv.measure(op[1], Basis(op[2]), rng)[0]))
+                elif op[0] == "CZ":
+                    sv.apply_cz(*op[1:])
+                elif op[0] == "CNOT":
+                    sv.apply_cnot(*op[1:])
+                else:
+                    sv.apply_gate(*op)
             t = new_plus_state(3)
             rng = np.random.default_rng(seed)
             tab_out = []
