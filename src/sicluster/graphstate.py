@@ -185,14 +185,6 @@ class GraphState:
         g.vertex_ops = dict(self.vertex_ops)
         return g
 
-    def relabeled(self, mapping: dict[int, int]) -> "GraphState":
-        g = GraphState(
-            (mapping[v] for v in self._adj),
-            ((mapping[u], mapping[v]) for u, v in self.edges()),
-        )
-        g.vertex_ops = {mapping[v]: op for v, op in self.vertex_ops.items()}
-        return g
-
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges())
 

@@ -391,12 +391,6 @@ def rotation_chain_target(alpha: float, beta: float, gamma: float) -> np.ndarray
     return rx(gamma) @ rz(beta) @ rx(alpha)
 
 
-def cz_pattern() -> tuple[GraphState, MeasurementPattern]:
-    """Graph-native CZ: two input/output vertices joined by one edge."""
-    cluster = GraphState([0, 1], [(0, 1)])
-    return cluster, MeasurementPattern(inputs=[0, 1], outputs=[0, 1], steps=[])
-
-
 # -- wire carving -----------------------------------------------------------------
 
 

@@ -23,7 +23,8 @@ from sicluster.tableau import (  # noqa: F401  (SizeCapError is re-exported)
     PauliString,
     SizeCapError,
     StabilizerTableau,
-    tableau_from_stabilizers,
+    from_graph_state,
+    graph_from_stab_matrix,
 )
 
 MAX_QUBITS = 22
@@ -461,6 +462,29 @@ def tableau_to_statevector(t: StabilizerTableau) -> StateVector:
     raise AssertionError("no basis state overlaps the stabilizer state")
 
 
+def _lowest_bit_split(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rest, low) for u = 1 .. d - 1: low is the lowest set bit of u and
+    rest = u ^ low, in the smallest unsigned type that holds d."""
+    u = np.arange(1, d, dtype=np.min_scalar_type(d))
+    low = u & -u
+    u ^= low
+    return u, low
+
+
+def _support(psi: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the amplitudes above half the largest magnitude.  Raises
+    ValueError on a zero state or on a magnitude between tol and half the
+    largest, relative to the largest."""
+    mag = np.abs(psi)
+    amax = mag.max()
+    if amax < tol:
+        raise ValueError("zero state")
+    support = np.flatnonzero(mag > 0.5 * amax)
+    if np.count_nonzero(mag > tol * amax) > support.size:
+        raise ValueError("amplitude magnitudes are not uniform on the support")
+    return support
+
+
 def _support_basis(offsets: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
     """Greedy basis of the 2^k sorted support offsets (``offsets[0] == 0``),
     smallest first, and its span: span[u] is the XOR of the basis vectors
@@ -471,129 +495,135 @@ def _support_basis(offsets: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
     span before it (a point sharing that bit would XOR with it to a smaller
     point outside the span), so the span of the first t vectors is the 2^t
     smallest offsets, listed in order.  The basis is therefore the offsets at
-    positions 1, 2, 4, ..., and one comparison of its span with the offsets
-    checks the whole support.
+    positions 1, 2, 4, ..., and the span is the offsets themselves exactly
+    when each offset is the XOR of the offsets at u with its lowest bit
+    cleared and at that bit alone: one pass checks the whole support.
     """
-    basis = [int(offsets[1 << j]) for j in range(k)]
-    span = np.zeros(1, np.int64)
-    for b in basis:
-        span = np.concatenate([span, span ^ b])
-    if not np.array_equal(span, offsets):
+    basis = offsets[1 << np.arange(k)].tolist()
+    rest, low = _lowest_bit_split(offsets.size)
+    span = offsets[rest]
+    span ^= offsets[low]
+    if not np.array_equal(span, offsets[1:]):
         raise ValueError("support is not an affine subspace")
-    return basis, span
+    return basis, offsets
 
 
-def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTableau:
-    """Reconstruct the stabilizer tableau of a dense stabilizer state.
-
-    Uses the affine-support normal form: a stabilizer state has uniform
-    amplitude magnitude over an affine subspace of basis indices with phases
-    i^(quadratic form).  Raises ValueError when the input is not a stabilizer
-    state to tolerance.
-    """
-    psi = np.asarray(psi, complex).reshape(-1)
-    dim = psi.shape[0]
-    n = int(round(np.log2(dim)))
-    if 1 << n != dim:
-        raise ValueError("amplitude count is not a power of two")
-    amax = np.abs(psi).max()
-    if amax < tol:
-        raise ValueError("zero state")
-    support = np.flatnonzero(np.abs(psi) > 0.5 * amax)
-    if np.any((np.abs(psi) > tol * amax) & (np.abs(psi) <= 0.5 * amax)):
-        raise ValueError("amplitude magnitudes are not uniform on the support")
-    d = support.size
-    k = int(round(np.log2(d)))
-    if 1 << k != d:
-        raise ValueError("support size is not a power of two")
-
-    t0 = int(support[0])
-    basis, span = _support_basis(np.sort(support ^ t0), k)
-
-    c = psi[t0 ^ span] / psi[t0]
-    ang = np.angle(c) / (np.pi / 2)
-    bad_ratio = np.abs(np.abs(c) - 1.0) > 1e-6
-    bad = np.flatnonzero(bad_ratio | (np.abs(ang - np.round(ang)) > 1e-6))
+def _phase_quarters(psi: np.ndarray, t0: int, span: np.ndarray) -> np.ndarray:
+    """The phase of psi[t0 ^ span[u]] against psi[t0] in quarter turns, 0..3,
+    as int8.  Raises ValueError unless every ratio is a power of i."""
+    # In place where it can be: at 21 qubits each array here is 16 or 32 MB.
+    c = psi[t0 ^ span]
+    c /= psi[t0]
+    err = np.abs(c)
+    err -= 1.0
+    bad_ratio = np.abs(err, out=err) > 1e-6
+    del err
+    ang = np.angle(c)
+    del c
+    ang /= np.pi / 2
+    quarter = np.round(ang)
+    ang -= quarter
+    bad = np.flatnonzero(bad_ratio | (np.abs(ang, out=ang) > 1e-6))
     if bad.size:
         if bad_ratio[bad[0]]:
             raise ValueError("non-uniform amplitude ratio")
         raise ValueError("amplitude phases are not powers of i")
-    kappa = np.round(ang).astype(np.int64) & 3
-    cvec = [int(kappa[1 << j]) for j in range(k)]
-    bmat = np.zeros((k, k), np.int64)
-    for j in range(k):
-        for l in range(j + 1, k):
-            diff = (int(kappa[(1 << j) | (1 << l)]) - cvec[j] - cvec[l]) % 4
-            if diff & 1:
-                raise ValueError("phase function is not quadratic over GF(2)")
-            bmat[j, l] = bmat[l, j] = diff >> 1
-    # Verify the quadratic model on the whole support: the points with top
-    # bit j add c_j plus 2 * b_jl for every lower bit l they set.
-    pred = np.zeros(1, np.int64)
-    for j in range(k):
-        cross = np.zeros(1, np.int64)
-        for l in range(j):
-            cross = np.concatenate([cross, cross + bmat[j, l]])
-        pred = np.concatenate([pred, pred + cvec[j] + 2 * cross])
-    if np.any((pred - kappa) % 4):
+    return quarter.astype(np.int8) & 3
+
+
+def stabilizer_matrix(psi: np.ndarray,
+                      tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n commuting generators of a dense stabilizer state as (x, z, r):
+    the (n, n) bool X and Z blocks and the bool signs that
+    ``tableau.graph_from_stab_matrix`` reduces.
+
+    Uses the affine-support normal form (Dehaene & De Moor, PRA 68, 042318
+    (2003)): a stabilizer state has uniform amplitude magnitude over an
+    affine subspace t0 + span(R) of basis indices, with phases i^q(u) for a
+    quadratic form q of the coordinates u over the k rows of R.  The first
+    n - k rows are Z-type generators, one per non-pivot column of R; the
+    last k are X-type, one per row of R.  Raises ValueError when the input
+    is not a stabilizer state to tolerance.
+    """
+    psi = np.asarray(psi, complex).reshape(-1)
+    dim = psi.shape[0]
+    n = max(dim.bit_length() - 1, 0)
+    if 1 << n != dim:
+        raise ValueError("amplitude count is not a power of two")
+    offsets = _support(psi, tol)
+    d = offsets.size
+    k = d.bit_length() - 1
+    if 1 << k != d:
+        raise ValueError("support size is not a power of two")
+    t0 = int(offsets[0])
+    offsets ^= t0
+    offsets.sort()
+    basis, span = _support_basis(offsets, k)
+    kappa = _phase_quarters(psi, t0, span)
+
+    # kappa(u) = sum_j c_j u_j + 2 sum_{l<j} b_jl u_j u_l (mod 4): c is read
+    # off the basis vectors, b off their pairs.
+    unit = 1 << np.arange(k)
+    cvec = kappa[unit]
+    pair = (kappa[unit[:, None] | unit] - cvec[:, None] - cvec) & 3
+    np.fill_diagonal(pair, 0)
+    if np.any(pair & 1):
+        raise ValueError("phase function is not quadratic over GF(2)")
+    bmat = pair >> 1
+    # Verify the form on the whole support in one pass: clearing the lowest
+    # bit l of u leaves a rest whose bits all lie above l, and the form gives
+    # kappa(u) = kappa(rest) + c_l + 2 * (the b_jl of the bits j of rest).
+    rest, low = _lowest_bit_split(d)
+    lowest = np.bitwise_count(low - 1)
+    diff = kappa[1:] - kappa[rest] - cvec[lowest]
+    rest &= (bmat @ unit).astype(rest.dtype)[lowest]
+    if np.any((diff - 2 * np.bitwise_count(rest)) & 3):
         raise ValueError("phases do not fit a quadratic form")
-
-    def int_bits(value: int) -> np.ndarray:
-        return np.array([(value >> (n - 1 - q)) & 1 for q in range(n)], np.uint8)
-
-    t0_bits = int_bits(t0)
-    rmat = np.array([int_bits(b) for b in basis], np.uint8).reshape(k, n)
 
     # One elimination of [R | T] gives the null space of R (the Z-type
     # generators) and, column j of T being the target of X-type generator j,
-    # a w with R w = T[:, j].
-    targets = (bmat + np.diag(np.asarray(cvec, np.int64))) & 1
-    reduced, pivots = gf2_rref(np.concatenate([rmat, targets], axis=1))
-    if len(pivots) < k or any(c >= n for c in pivots):
-        raise ValueError("support basis matrix is rank-deficient")
-    gens: list[PauliString] = []
-    # Z-type generators: Z^w for w in the null space of R, sign (-1)^(w.t0).
-    for f in sorted(set(range(n)) - set(pivots)):
-        w = np.zeros(n, np.uint8)
-        w[f] = 1
-        w[pivots] = reduced[:k, f]
-        sign = int(np.dot(w, t0_bits)) & 1
-        gens.append(PauliString(n, np.zeros(n, np.uint8), w, 2 if sign else 0))
-    # X-type generators, one per support-basis vector.
-    for j in range(k):
-        w = np.zeros(n, np.uint8)
-        w[pivots] = reduced[:k, n + j]
-        r = rmat[j]
-        overlap = int(np.sum(r & w))
-        sign_bit = (cvec[j] + int(np.dot(w, t0_bits))) & 1
-        exp = (-cvec[j] - overlap + 2 * sign_bit) % 4
+    # a w with R w = T[:, j].  Each row is one int, column 0 its top bit.
+    tmat = bmat  # T is B with c mod 2 on its diagonal; B is spent
+    np.fill_diagonal(tmat, cvec & 1)
+    rows = ((np.array(basis, np.int64) << k) | (tmat @ unit[::-1])).tolist()
+    reduced = []  # the reduced rows, in pivot order
+    for _ in range(k):
+        top = max(rows)
+        if top >> k == 0:
+            raise ValueError("support basis matrix is rank-deficient")
+        lead = 1 << (top.bit_length() - 1)
+        rows.remove(top)
+        rows = [r ^ top if r & lead else r for r in rows]
+        reduced = [r ^ top if r & lead else r for r in reduced]
+        reduced.append(top)
+    # Qubit q is bit n - 1 - q of an X or Z part, as of a basis index.
+    pivot_bits = [1 << (r.bit_length() - 1 - k) for r in reduced]
+
+    def pivot_part(col: int) -> int:
+        """The pivot qubits of the reduced rows that set bit ``col``."""
+        return sum(p for r, p in zip(reduced, pivot_bits) if r & col)
+
+    # (X part, c, Z part): Z-type Z^w for w in the null space of R, then
+    # X-type X^r_j Z^w with R w = T[:, j].  The phase is
+    # i^(2 (c + w.t0) - c - r.w), real for a stabilizer state.
+    pivot_mask = sum(pivot_bits)
+    free_bits = [1 << b for b in range(n - 1, -1, -1) if not pivot_mask >> b & 1]
+    gens = [(0, 0, f | pivot_part(f << k)) for f in free_bits]
+    gens += [(r_j, c_j, pivot_part(1 << (k - 1 - j)))
+             for j, (r_j, c_j) in enumerate(zip(basis, cvec.tolist()))]
+    signs = []
+    for r, c, w in gens:
+        exp = (2 * (c + (w & t0).bit_count()) - c - (r & w).bit_count()) & 3
         if exp & 1:
             raise ValueError("X-type generator has imaginary phase")
-        gens.append(PauliString(n, r.copy(), w, exp))
-    if len(gens) != n:
-        raise AssertionError("generator count mismatch")
-    return tableau_from_stabilizers(gens)
+        signs.append(exp >> 1)
+    parts = [r for r, _, _ in gens] + [w for _, _, w in gens]
+    bits = (np.array(parts, np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1 != 0
+    return bits[:n], bits[n:], np.array(signs, bool)
 
 
-def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a 0/1 matrix over GF(2).
-
-    Returns (reduced, pivot_cols): ``reduced`` is a new uint8 matrix whose
-    row i has its leading one in column pivot_cols[i]; rows past
-    len(pivot_cols) are zero.  The form depends only on the row space.
-    """
-    a = np.asarray(a, np.uint8) % 2
-    pivots: list[int] = []
-    for c in range(a.shape[1]):
-        top = len(pivots)
-        if top == a.shape[0]:
-            break
-        hits = np.flatnonzero(a[top:, c])
-        if not hits.size:
-            continue
-        a[[top, top + hits[0]]] = a[[top + hits[0], top]]
-        others = a[:, c].astype(bool)
-        others[top] = False
-        a[others] ^= a[top]
-        pivots.append(c)
-    return a, pivots
+def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTableau:
+    """Tableau of a dense stabilizer state, in the graph form of its
+    stabilizer group.  Raises ValueError as ``stabilizer_matrix`` does."""
+    return from_graph_state(GraphState.adopt(*graph_from_stab_matrix(
+        *stabilizer_matrix(psi, tol))))

@@ -5,7 +5,30 @@ import pytest
 
 import sicluster._kernels as kern
 from sicluster.tableau import graph_from_stab_matrix
-from sicluster.statevec import gf2_rref
+
+
+def gf2_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 0/1 matrix over GF(2).
+
+    Returns (reduced, pivot_cols): ``reduced`` is a new uint8 matrix whose
+    row i has its leading one in column pivot_cols[i]; rows past
+    len(pivot_cols) are zero.  The form depends only on the row space.
+    """
+    a = np.asarray(a, np.uint8) % 2
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        top = len(pivots)
+        if top == a.shape[0]:
+            break
+        hits = np.flatnonzero(a[top:, c])
+        if not hits.size:
+            continue
+        a[[top, top + hits[0]]] = a[[top + hits[0], top]]
+        others = a[:, c].astype(bool)
+        others[top] = False
+        a[others] ^= a[top]
+        pivots.append(c)
+    return a, pivots
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -30,7 +30,7 @@ from sicluster.lattice import (
 )
 from sicluster.noise import DefectModel, NoiseInjector, TimingModel, inject_noise
 from sicluster.rng import substream
-from sicluster.statevec import DenseRegister, SizeCapError, StateVector, tableau_from_statevector
+from sicluster.statevec import DenseRegister, SizeCapError, StateVector, stabilizer_matrix
 from sicluster.tableau import Basis, StabilizerTableau
 
 BACKENDS = ("stabilizer", "tableau", "statevector")
@@ -237,10 +237,10 @@ class TestRunProtocol:
 
         def spy_extract(psi):
             extracted.append(int(np.log2(psi.size)))
-            return tableau_from_statevector(psi)
+            return stabilizer_matrix(psi)
 
         monkeypatch.setattr(StateVector, "measure_out", spy_measure_out)
-        monkeypatch.setattr(lattice, "tableau_from_statevector", spy_extract)
+        monkeypatch.setattr(lattice, "stabilizer_matrix", spy_extract)
         run_protocol(DonorLattice(1, 11), standard_protocol(), backend="statevector",
                      rng=np.random.default_rng(0))
         assert widths == [1] * 11

@@ -20,7 +20,6 @@ from sicluster.mbqc import (
     carve_wire,
     carved_wire_pattern,
     chain_pattern,
-    cz_pattern,
     execute_pattern,
     rotation_chain_pattern,
     rotation_chain_target,
@@ -30,6 +29,21 @@ from sicluster.mbqc import (
 from sicluster.rng import substream
 from sicluster.statevec import DenseRegister, SizeCapError, StateVector, tableau_from_statevector
 from sicluster.tableau import Basis, from_graph_state, same_stabilizer_group
+
+
+def _relabeled(g: GraphState, mapping: dict) -> GraphState:
+    """A copy of ``g`` with every vertex v renamed mapping[v], vertex
+    operators included."""
+    out = GraphState((mapping[v] for v in g.vertices()),
+                     ((mapping[u], mapping[v]) for u, v in g.edges()))
+    out.vertex_ops = {mapping[v]: op for v, op in g.vertex_ops.items()}
+    return out
+
+
+def _cz_pattern() -> tuple[GraphState, MeasurementPattern]:
+    """Graph-native CZ: two input/output vertices joined by one edge."""
+    cluster = GraphState([0, 1], [(0, 1)])
+    return cluster, MeasurementPattern(inputs=[0, 1], outputs=[0, 1], steps=[])
 
 
 class TestPatternType:
@@ -117,7 +131,7 @@ class TestExecution:
             assert a.frame == b.frame
             # The graph (vertex ops included) is the full output state.
             relabel = {v: i for i, v in enumerate(sorted(pat.outputs))}
-            t_graph = from_graph_state(a.output_graph.relabeled(relabel))
+            t_graph = from_graph_state(_relabeled(a.output_graph, relabel))
             t_dense = tableau_from_statevector(b.output_state.psi)
             assert same_stabilizer_group(t_graph, t_dense)
 
@@ -214,7 +228,7 @@ def test_stabilizer_and_dense_executors_agree(case):
     assert stab.frame == dense.frame
     # The dense output state lists its qubits in pattern.outputs order.
     relabel = {v: i for i, v in enumerate(pattern.outputs)}
-    assert same_stabilizer_group(from_graph_state(stab.output_graph.relabeled(relabel)),
+    assert same_stabilizer_group(from_graph_state(_relabeled(stab.output_graph, relabel)),
                                  tableau_from_statevector(dense.output_state.psi))
 
 
@@ -467,7 +481,7 @@ class TestLogicalChannels:
             assert rep.distance < 1e-9
 
     def test_graph_native_cz(self):
-        cluster, pat = cz_pattern()
+        cluster, pat = _cz_pattern()
         rep = verify_logical(cluster, pat, np.diag([1, 1, 1, -1]).astype(complex))
         assert rep.distance < 1e-9
 
@@ -638,7 +652,7 @@ class TestBatchedLogicalCheck:
         assert rep.distance < 1e-9
         assert batches == [4] * 5
         batches.clear()
-        cluster, pattern = cz_pattern()
+        cluster, pattern = _cz_pattern()
         verify_logical(cluster, pattern, np.diag([1, 1, 1, -1]), seeds=range(2))
         assert batches == [16] * 2
 

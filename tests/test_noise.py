@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sicluster.graphstate import GraphState
 from sicluster.lattice import (
     CANONICAL_PROTOCOLS,
     DonorLattice,
-    predicted_graph,
+    predicted_edge_set,
     run_protocol,
     standard_protocol,
 )
@@ -219,6 +220,11 @@ class TestSurvey:
         assert all(rep == reports[0] for rep in reports)
 
 
+def _predicted_graph(lat, steps) -> GraphState:
+    """The predictor's edge set as a graph on every site of the lattice."""
+    return GraphState(range(lat.n_sites), predicted_edge_set(lat, steps))
+
+
 @st.composite
 def defective_lattices(draw):
     """A lattice of at most 8x8 with 0-60 % of its sites dead, the dead set
@@ -242,7 +248,7 @@ def test_survey_rate_is_the_carve_rate(case, protocol, seed, n_pairs):
 
     # The survey's pairs, drawn as it draws them, each sent to carve_wire.
     lat = DonorLattice(lx, ly, dead=lattice_dead | model_dead)
-    graph = predicted_graph(lat, steps)
+    graph = _predicted_graph(lat, steps)
     dead_ids = {lat.site_id(i, j) for i, j in lat.dead}
     live = np.array([v for v in range(lat.n_sites) if v not in dead_ids])
     rng = substream(seed, "survey-pairs")

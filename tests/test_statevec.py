@@ -1,7 +1,11 @@
 """Dense backend: gates, Born sampling, stabilizer reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EIGENSTATES, random_state_pair
 from sicluster import statevec
@@ -19,11 +23,19 @@ from sicluster.statevec import (
     graph_to_statevector,
     mat_rz,
     _support_basis,
+    stabilizer_matrix,
     tableau_from_statevector,
     tableau_to_statevector,
 )
 from sicluster.graphstate import GraphState
-from sicluster.tableau import Basis, PauliString, new_plus_state, same_stabilizer_group
+from sicluster.tableau import (
+    Basis,
+    PauliString,
+    graph_from_stab_matrix,
+    new_plus_state,
+    restricted_stab_graph,
+    same_stabilizer_group,
+)
 
 
 class TestBasics:
@@ -204,6 +216,131 @@ class TestReconstruction:
         t = tableau_from_statevector(sv.psi)
         t2 = new_plus_state(2).apply_gate("CZ", 0, 1).apply_gate("H", 0)
         assert same_stabilizer_group(t, t2)
+
+
+def _ket(*factors):
+    """The product state of the given one-qubit kets, qubit 0 first."""
+    psi = np.ones(1, complex)
+    for ket in factors:
+        psi = np.kron(psi, ket)
+    return psi
+
+
+def _h_all(t):
+    """``t`` with H on every qubit: |+>^n becomes |0>^n."""
+    for q in range(t.n):
+        t.apply_gate("H", q)
+    return t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), depth=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_stabilizer_matrix_reduces_to_the_restricted_tableau_graph(n, depth, seed):
+    """One reduction of the generators read off the amplitudes gives the graph
+    form that restricting the paired tableau to every qubit gives."""
+    t, sv = random_state_pair(n, depth, np.random.default_rng(seed))
+    assert graph_from_stab_matrix(*stabilizer_matrix(sv.psi)) == restricted_stab_graph(
+        t, list(range(n)))
+
+
+@pytest.mark.parametrize("psi, t", [
+    # k = 0: a basis state, every generator Z-type
+    (_ket(KET_ZERO, KET_ZERO, KET_ZERO), _h_all(new_plus_state(3))),
+    (_ket(KET_ONE, KET_ZERO), _h_all(new_plus_state(2)).apply_gate("X", 0)),
+    (_ket(KET_ZERO), _h_all(new_plus_state(1))),
+    # k = n: full support, every generator X-type
+    (_ket(*[KET_PLUS] * 4), new_plus_state(4)),
+    (_ket(KET_PLUS), new_plus_state(1)),
+], ids=["000", "10", "0", "++++", "+"])
+def test_stabilizer_matrix_on_empty_and_full_support_bases(psi, t):
+    x, z, r = stabilizer_matrix(psi)
+    assert x.shape == z.shape == (t.n, t.n) and r.shape == (t.n,)
+    assert graph_from_stab_matrix(x, z, r) == restricted_stab_graph(t, list(range(t.n)))
+
+
+@pytest.mark.parametrize("psi, message", [
+    (np.ones(3) / np.sqrt(3), "amplitude count is not a power of two"),
+    (np.zeros(4), "zero state"),
+    (np.array([1.0, 0.3, 0, 0]) / np.sqrt(1.09),
+     "amplitude magnitudes are not uniform on the support"),
+    (np.array([1.0, 1, 1, 0]) / np.sqrt(3), "support size is not a power of two"),
+    (np.array([1.0, 1, 1, 0, 1, 0, 0, 0]) / 2, "support is not an affine subspace"),
+    (np.array([1.0, 0.8]) / np.sqrt(1.64), "non-uniform amplitude ratio"),
+    (np.array([1.0, np.exp(0.25j * np.pi)]) / np.sqrt(2), "amplitude phases are not powers of i"),
+    (np.array([1.0, 1, 1, 1j]) / 2, "phase function is not quadratic over GF(2)"),
+    (np.array([1.0, 1, 1, 1, 1, 1, 1, -1]) / np.sqrt(8), "phases do not fit a quadratic form"),
+])
+def test_stabilizer_matrix_keeps_every_refusal(psi, message):
+    """Each refusal an input can reach, with the message the tableau round
+    trip gave.  The rank check guards the elimination (see below); the
+    imaginary-phase one cannot fire, as R w = T[:, j] makes r_j.w = c_j
+    mod 2."""
+    for fn in (stabilizer_matrix, tableau_from_statevector):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(psi)
+
+
+def test_dependent_support_basis_is_refused(monkeypatch):
+    """A dependent support basis, which ``_support_basis`` never returns, is
+    refused as rank-deficient by the elimination."""
+    monkeypatch.setattr(statevec, "_support_basis",
+                        lambda offsets, k: ([1, 1], np.array([0, 1, 1, 0])))
+    with pytest.raises(ValueError, match="^support basis matrix is rank-deficient$"):
+        stabilizer_matrix(_ket(KET_PLUS, KET_PLUS))
+
+
+def _doubling_fit(kappa, k):
+    """The quadratic-form check as it was before the one-pass recurrence: c
+    off the basis vectors, b off their pairs, then the prediction built one
+    top bit at a time.  Returns the refusal message, or None.  Kept as the
+    reference."""
+    cvec = [int(kappa[1 << j]) for j in range(k)]
+    bmat = np.zeros((k, k), np.int64)
+    for j in range(k):
+        for l in range(j + 1, k):
+            diff = (int(kappa[(1 << j) | (1 << l)]) - cvec[j] - cvec[l]) % 4
+            if diff & 1:
+                return "phase function is not quadratic over GF(2)"
+            bmat[j, l] = bmat[l, j] = diff >> 1
+    pred = np.zeros(1, np.int64)
+    for j in range(k):
+        cross = np.zeros(1, np.int64)
+        for l in range(j):
+            cross = np.concatenate([cross, cross + bmat[j, l]])
+        pred = np.concatenate([pred, pred + cvec[j] + 2 * cross])
+    if np.any((pred - kappa) % 4):
+        return "phases do not fit a quadratic form"
+    return None
+
+
+def test_quadratic_fit_matches_the_doubling_loop():
+    """On full supports, quadratic phase tables with one entry moved or a
+    cubic term added are refused exactly when the doubling loop refuses
+    them, with its message."""
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(400):
+        k = int(rng.integers(1, 8))
+        u = np.arange(1 << k)
+        bits = (u[:, None] >> np.arange(k)) & 1
+        b = np.triu(rng.integers(0, 2, (k, k)), 1)
+        kappa = bits @ rng.integers(0, 4, k) + 2 * np.einsum("uj,jl,ul->u", bits, b, bits)
+        change = rng.integers(3)
+        if change == 1:
+            kappa[rng.integers(1 << k)] += rng.integers(1, 4)
+        elif change == 2 and k >= 3:
+            a, c, e = rng.choice(k, 3, replace=False)
+            kappa += 2 * bits[:, a] * bits[:, c] * bits[:, e]
+        kappa = (kappa - kappa[0]) % 4
+        want = _doubling_fit(kappa, k)
+        try:
+            stabilizer_matrix(1j ** kappa / np.sqrt(1 << k))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        seen.add(want)
+    assert len(seen) == 3
 
 
 def _rescanning_support_basis(offsets, dim, k):
