@@ -310,14 +310,11 @@ def _verify_cases() -> list[tuple[int, int]]:
 def cmd_verify_protocol(args) -> int:
     rows = []
     failures = 0
-    sabotage = bool(getattr(args, "selftest_negate_predictor", False))
     for lx, ly in _verify_cases():
         lattice = DonorLattice(lx, ly)
         for name in ("standard", "square"):
             steps = CANONICAL_PROTOCOLS[name]()
             predicted = predicted_edge_set(lattice, steps)
-            if sabotage:
-                predicted = set(predicted) ^ {(0, max(1, lattice.n_sites - 1))}
             res_st = run_protocol(lattice, steps, backend="stabilizer",
                                   rng=substream(args.seed, "verify", lx, ly, name))
             checks = [("stabilizer=predictor",
@@ -418,7 +415,7 @@ def _cluster_from_spec(spec: str) -> GraphState:
             return graph_from_json(Path(rest).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read cluster file {rest}: {exc}") from exc
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad cluster file {rest}: {exc}") from exc
     raise ConfigError(f"unknown cluster spec {spec!r} (line:N, grid:LXxLY, file:PATH)")
 
@@ -582,8 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", default=None)
     v.add_argument("--format", choices=["text"], default="text")
-    v.add_argument("--selftest-negate-predictor", action="store_true",
-                   help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify_protocol)
 
     pl = sub.add_parser("pulse", help="composite-gate fidelity sweep (CSV)")

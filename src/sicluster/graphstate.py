@@ -113,9 +113,16 @@ class GraphState:
     """Graph plus vertex operators; see module docstring for semantics."""
 
     def __init__(self, vertices=(), edges=(), vertex_ops=None):
-        self._adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+        adj: dict[int, set[int]] = {int(v): set() for v in vertices}
         for u, v in edges:
-            self._add_edge(int(u), int(v))
+            u, v = int(u), int(v)
+            if u == v:
+                raise ValueError("self-loops are not allowed")
+            if u not in adj or v not in adj:
+                raise KeyError(f"unknown vertex in edge ({u}, {v})")
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = adj
         self._set_vertex_ops(vertex_ops)
 
     @classmethod
@@ -138,14 +145,6 @@ class GraphState:
                     self.vertex_ops[int(v)] = op
 
     # -- primitive structure -------------------------------------------------
-
-    def _add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if u not in self._adj or v not in self._adj:
-            raise KeyError(f"unknown vertex in edge ({u}, {v})")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
 
     def vertices(self) -> list[int]:
         return sorted(self._adj)
@@ -388,13 +387,18 @@ def export(g: GraphState, fmt: str) -> bytes:
 
 
 def graph_from_json(text: str) -> GraphState:
+    """The graph state of a document in the JSON form :func:`export` writes.
+
+    A document of the wrong shape raises KeyError, TypeError or ValueError.
+    """
     doc = json.loads(text)
-    check_site_cap(len(doc["vertices"]))
-    g = GraphState((v["id"] for v in doc["vertices"]), doc["edges"])
-    for v in doc["vertices"]:
-        if v.get("op", "I") != "I":
-            g.vertex_ops[v["id"]] = cliffords.by_name(v["op"])
-    return g
+    vertices, edges = doc["vertices"], doc["edges"]
+    del doc
+    check_site_cap(len(vertices))
+    ids = [v["id"] for v in vertices]
+    ops = {v["id"]: cliffords.by_name(v["op"]) for v in vertices if v.get("op", "I") != "I"}
+    del vertices
+    return GraphState(ids, edges, ops)
 
 
 def _complement_adj(adj: dict[int, set[int]], v: int) -> None:

@@ -33,7 +33,7 @@ from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.lattice import PauliFrame
 from sicluster.rng import substream
-from sicluster.statevec import BatchDivergence, DenseRegister, SizeCapError, StateVector
+from sicluster.statevec import BatchDivergence, DenseRegister, SizeCapError, StateVector, mat_rz
 from sicluster.tableau import (  # noqa: F401  (the benchmark tracer patches the last two here)
     Basis,
     from_graph_state,
@@ -325,8 +325,8 @@ def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
     # the returned frame holds only the pattern's byproduct corrections.
     keep = sorted(outs)
     adj, ops = sim.take_restricted_graph(keep)
-    edges = [(keep[a], keep[b]) for a, nbrs in adj.items() for b in nbrs if a < b]
-    graph = GraphState(keep, edges, {keep[i]: op for i, op in ops.items()})
+    graph = GraphState.adopt({keep[a]: {keep[b] for b in nbrs} for a, nbrs in adj.items()},
+                             {keep[i]: op for i, op in ops.items()})
     frame = _frame_from_corrections(pattern, outcomes)
     return PatternResult(outcomes, order, frame, output_graph=graph)
 
@@ -387,8 +387,7 @@ def rotation_chain_pattern(alpha: float, beta: float, gamma: float,
 def rotation_chain_target(alpha: float, beta: float, gamma: float) -> np.ndarray:
     rx = lambda t: np.array([[np.cos(t / 2), -1j * np.sin(t / 2)],
                              [-1j * np.sin(t / 2), np.cos(t / 2)]])
-    rz = lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
-    return rx(gamma) @ rz(beta) @ rx(alpha)
+    return rx(gamma) @ mat_rz(beta) @ rx(alpha)
 
 
 # -- wire carving -----------------------------------------------------------------
@@ -400,9 +399,14 @@ def canonical_adjacency(cluster: GraphState) -> GraphState:
     Patterns are defined against the canonical cluster; a protocol-produced
     graph carries coset operators and a Pauli frame that stay byproduct
     bookkeeping (a device would fold them into its measurement bases), so
-    simulation-level pattern runs use the bare adjacency.
+    simulation-level pattern runs use the bare adjacency.  The returned graph
+    shares the cluster's neighbour sets, copying none, so neither graph may
+    change while both are in use: the rule ``BorrowedAdjacency`` states for
+    the executors, which only borrow a cluster.
     """
-    return GraphState(cluster.vertices(), cluster.edges())
+    g = GraphState.__new__(GraphState)
+    g._adj, g.vertex_ops = cluster._adj, {}
+    return g
 
 
 def carved_wire_pattern(cluster: GraphState, start: int, end: int,

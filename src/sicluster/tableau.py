@@ -106,12 +106,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return not (self.x.any() or self.z.any())
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        parity = int(np.sum(self.x & other.z) + np.sum(self.z & other.x)) & 1
-        return parity == 0
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("size mismatch")
@@ -288,10 +282,6 @@ class StabilizerTableau:
         return [PauliString(n, self.x[i].astype(np.uint8), self.z[i].astype(np.uint8),
                             2 * int(self.r[i])) for i in range(n, 2 * n)]
 
-    def dump(self) -> str:
-        """Debug form: one stabilizer per line, e.g. ``+XZI``."""
-        return "\n".join(row.to_label() for row in self.stabilizer_rows())
-
     def validate(self) -> None:
         """Check the symplectic form; raises AssertionError on damage.
 
@@ -305,14 +295,6 @@ class StabilizerTableau:
         bad = np.argwhere((x @ z.T + z @ x.T) % 2 != want)
         if bad.size:
             raise AssertionError(f"rows {bad[0][0]} and {bad[0][1]} break the symplectic form")
-
-    # -- graph-state conversion ---------------------------------------------
-
-    def to_graph_state(self) -> GraphState:
-        """Express the state as a graph plus per-vertex local Cliffords."""
-        n = self.n
-        return GraphState.adopt(*graph_from_stab_matrix(
-            self.x[n:].copy(), self.z[n:].copy(), self.r[n:].copy()))
 
 
 def graph_from_stab_matrix(x, z, r) -> tuple[dict, dict]:
@@ -438,24 +420,3 @@ def same_stabilizer_group(a: StabilizerTableau, b: StabilizerTableau) -> bool:
     if a.n != b.n:
         return False
     return all(b.expectation(row) == 1 for row in a.stabilizer_rows())
-
-
-def tableau_from_stabilizers(gens: list[PauliString]) -> StabilizerTableau:
-    """Tableau of the state stabilized by n commuting independent +-1 generators.
-
-    The generators are reduced to graph form and the tableau of that graph
-    state is returned, so its stabilizer rows generate the same group in
-    graph form.  Dependent generators raise ValueError.
-    """
-    n = gens[0].n
-    if len(gens) != n:
-        raise ValueError(f"need exactly {n} generators, got {len(gens)}")
-    for g in gens:
-        if g.n != n:
-            raise ValueError("generator size mismatch")
-        if g.phase_exp & 1:
-            raise ValueError("generators must have +-1 phase")
-    x = np.array([g.x for g in gens], bool)
-    z = np.array([g.z for g in gens], bool)
-    r = np.array([g.phase_exp == 2 for g in gens])
-    return from_graph_state(GraphState.adopt(*graph_from_stab_matrix(x, z, r)))

@@ -11,7 +11,7 @@ from sicluster.statevec import (
     KET_PLUS_I,
     StateVector,
 )
-from sicluster.tableau import new_plus_state
+from sicluster.tableau import new_plus_state, restricted_stab_graph
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 
@@ -56,6 +56,11 @@ def random_state_pair(n, depth, rng):
     t = apply_ops_tableau(new_plus_state(n), ops)
     sv = apply_ops_dense(StateVector.all_plus(n), ops)
     return t, sv
+
+
+def tableau_graph(t):
+    """The graph form of a tableau's state: every qubit kept, by position."""
+    return GraphState.adopt(*restricted_stab_graph(t, list(range(t.n))))
 
 
 def random_graph(n, rng, edge_factor=2.0, with_ops=False):

@@ -9,10 +9,12 @@ import gc
 import hashlib
 import json
 import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sicluster import lattice
+from sicluster import cli, lattice, mbqc
 from sicluster.cli import main
 from sicluster.graphsim import GraphSimulator
 from sicluster.lattice import DonorLattice, run_protocol, standard_protocol
@@ -74,6 +76,62 @@ def build_digests(tmp_path, name: str) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_build_outputs_are_pinned(tmp_path, name):
     assert build_digests(tmp_path, name) == PINNED[name]
+
+
+# name -> (carve, sha256 of the report of `mbqc --cluster
+# file:<name>/cluster.json --strip-ops --carve <carve> --seed 1` on the pinned
+# build).  Both paths have 11 vertices, so verify_logical runs; 210 is a dead
+# site of the noisy-square build.  Taken before a loaded cluster was built in
+# one pass and --strip-ops came to share its adjacency.
+CONSUMER_PINNED = {
+    "standard": ("0:210", "7e58c788b3a7aee979aa0736db60a87b7a9b57befa6b776ae837335fd18e3070"),
+    "noisy-square": ("0:200", "32b3bc121888e80821ee7e8f9de822e43a69b655b1187c3ac424a393e40c27e2"),
+}
+
+
+def consume(tmp_path, monkeypatch, name: str) -> Path:
+    """Build the pinned ``name`` cluster, carve on it with --strip-ops and
+    return the report's path.  The report names the cluster file, so the
+    file is given relative to ``tmp_path``."""
+    assert build_digests(tmp_path, name) == PINNED[name]
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / f"{name}-carve.json"
+    assert main(["mbqc", "--cluster", f"file:{name}/cluster.json", "--strip-ops",
+                 "--carve", CONSUMER_PINNED[name][0], "--seed", "1",
+                 "--out", str(report)]) == 0
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMER_PINNED))
+def test_consumer_report_is_pinned(tmp_path, monkeypatch, name):
+    report = consume(tmp_path, monkeypatch, name)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CONSUMER_PINNED[name][1]
+
+
+def test_strip_ops_hands_over_a_bare_graph_and_leaves_the_loaded_one(tmp_path, monkeypatch):
+    strips, runs = [], []
+    strip = cli.canonical_adjacency
+
+    def spy_strip(g):
+        stripped = strip(g)
+        strips.append((g, g.copy(), stripped))
+        return stripped
+
+    dense = mbqc._execute_dense
+
+    def spy_dense(cluster, *args):
+        runs.append(dict(cluster.vertex_ops))
+        return dense(cluster, *args)
+
+    monkeypatch.setattr(cli, "canonical_adjacency", spy_strip)
+    monkeypatch.setattr(mbqc, "_execute_dense", spy_dense)
+    consume(tmp_path, monkeypatch, "standard")
+    (loaded, snapshot, stripped), = strips
+    assert runs and all(ops == {} for ops in runs)
+    pattern, _ = mbqc.carved_wire_pattern(stripped, 0, 210)
+    mbqc.execute_pattern(stripped, pattern, backend="stabilizer", rng=np.random.default_rng(1))
+    assert stripped.vertex_ops == {}
+    assert loaded.vertex_ops and loaded == snapshot
 
 
 def engine_released_before_assembly(monkeypatch, backend: str, engine_cls) -> list[bool]:

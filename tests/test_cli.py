@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sicluster import cli
 from sicluster.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NO_PATH, EXIT_RESOURCE, main
 from sicluster.lattice import DonorLattice, predicted_edge_set, standard_protocol
 
@@ -201,9 +202,13 @@ class TestVerifyProtocol:
         assert "PASS square 4x3 backends-agree" in text
         assert "FAIL " not in text
 
-    def test_negative_control(self, tmp_path):
-        rc = run_cli(["verify-protocol", "--selftest-negate-predictor",
-                      "--out", str(tmp_path / "v.txt")])
+    def test_negative_control(self, tmp_path, monkeypatch):
+        # A predictor that toggles one edge must fail the suite.
+        def sabotaged(lattice, steps):
+            return set(predicted_edge_set(lattice, steps)) ^ {(0, max(1, lattice.n_sites - 1))}
+
+        monkeypatch.setattr(cli, "predicted_edge_set", sabotaged)
+        rc = run_cli(["verify-protocol", "--out", str(tmp_path / "v.txt")])
         assert rc == EXIT_CHECK_FAILED
 
 
@@ -332,6 +337,19 @@ class TestMbqc:
                       "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2], None, "vertices", {"vertices": [0, 1], "edges": []},
+        {"vertices": 2, "edges": []}, {"vertices": [{"id": 0}, {"id": 1}], "edges": [0, 1]},
+        {"vertices": [{"id": 0, "op": ["S"]}], "edges": []},
+    ])
+    def test_wrong_shaped_cluster_file_is_a_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = run_cli(["mbqc", "--cluster", f"file:{path}", "--builtin", "wire:3",
+                      "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert "bad cluster file" in capsys.readouterr().err
 
     def test_nan_angle_in_pattern_file_is_a_config_error(self, tmp_path):
         pf = tmp_path / "pattern.json"

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import tableau_graph
 from sicluster import cliffords
 from sicluster.graphsim import _ZP_MOVES, GraphSimulator
 from sicluster.graphstate import GraphState
@@ -45,7 +46,7 @@ def assert_same_state(sim, t):
     assert same_stabilizer_group(from_graph_state(sim), t)
     n = t.n
     adj, ops = GraphSimulator.from_graph(sim).take_restricted_graph(list(range(n)))
-    g = t.to_graph_state()
+    g = tableau_graph(t)
     assert adj == {v: g.neighbors(v) for v in range(n)}
     assert ops == dict(g.vertex_ops)
 

@@ -279,6 +279,11 @@ class TestExport:
         g2 = graph_from_json(export(g, "json").decode())
         assert g2 == g
 
+    def test_identity_named_by_its_word_loads_as_no_operator(self):
+        # "" is the identity's H/S word, which cliffords.by_name accepts.
+        text = '{"edges": [[0, 1]], "vertices": [{"id": 0, "op": ""}, {"id": 1, "op": "S"}]}'
+        assert graph_from_json(text) == GraphState(range(2), [(0, 1)], {1: cliffords.S})
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export(GraphState(), "yaml")
@@ -373,3 +378,22 @@ class TestAdopt:
     def test_refuses_ops_on_unknown_vertices(self):
         with pytest.raises(KeyError):
             GraphState.adopt({0: set()}, {3: cliffords.H})
+
+
+class TestConstructor:
+    def test_builds_symmetric_sets(self):
+        g = GraphState([2, 0, 1], [(0, 1), (np.int64(1), 2)], {2: cliffords.S})
+        assert g._adj == {0: {1}, 1: {0, 2}, 2: {1}}
+        assert list(g._adj) == [2, 0, 1]
+        assert g.vertex_ops == {2: cliffords.S}
+
+    def test_self_loop_is_a_value_error_before_an_unknown_vertex(self):
+        with pytest.raises(ValueError, match="self-loops"):
+            GraphState(range(2), [(0, 1), (1, 1)])
+        with pytest.raises(ValueError, match="self-loops"):
+            GraphState(range(2), [(5, 5)])
+
+    @pytest.mark.parametrize("edge", [(0, 2), (2, 0)])
+    def test_unknown_vertex_is_a_key_error(self, edge):
+        with pytest.raises(KeyError, match="unknown vertex in edge"):
+            GraphState(range(2), [edge])
