@@ -16,6 +16,7 @@ matrix so that vertex deletion stays cheap at 10^4-vertex protocol scale.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from sicluster import cliffords
@@ -389,13 +390,21 @@ def export(g: GraphState, fmt: str) -> bytes:
 def graph_from_json(text: str) -> GraphState:
     """The graph state of a document in the JSON form :func:`export` writes.
 
-    A document of the wrong shape raises KeyError, TypeError or ValueError.
+    A document of the wrong shape raises KeyError, TypeError or ValueError;
+    so does one that names a vertex twice, or gives a vertex id or an edge
+    end that is not an integer (booleans and floats included).
     """
     doc = json.loads(text)
     vertices, edges = doc["vertices"], doc["edges"]
     del doc
     check_site_cap(len(vertices))
     ids = [v["id"] for v in vertices]
+    if not set(map(type, ids)) <= {int}:
+        raise ValueError("vertex ids must be integers")
+    if len(set(ids)) != len(ids):
+        raise ValueError("a vertex id is listed twice")
+    if not set(map(type, itertools.chain.from_iterable(edges))) <= {int}:
+        raise ValueError("edge ends must be integers")
     ops = {v["id"]: cliffords.by_name(v["op"]) for v in vertices if v.get("op", "I") != "I"}
     del vertices
     return GraphState(ids, edges, ops)

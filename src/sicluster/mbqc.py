@@ -183,8 +183,10 @@ class PatternResult:
     output_graph: GraphState | None = None  # stabilizer backend
 
 
-def _outcome_parity(outcomes: dict[int, int], deps) -> int:
-    return sum(1 for v in deps if outcomes[v] == -1) & 1
+def _outcome_parity(outcomes: dict, deps):
+    """The parity of the -1 outcomes among ``deps``: an int, or an array of
+    one parity per seed when each outcome is an array of one per seed."""
+    return sum(outcomes[v] == -1 for v in deps) & 1
 
 
 def _frame_from_corrections(pattern: MeasurementPattern, outcomes: dict[int, int]) -> PauliFrame:
@@ -233,27 +235,43 @@ def _check_runnable(cluster: GraphState, pattern: MeasurementPattern) -> None:
                                f"(vertex {v} carries {cluster.op(v).name})")
 
 
-def _effective_angle(st: MeasurementStep, outcomes: dict[int, int]) -> float:
+def _effective_angle(st: MeasurementStep, outcomes: dict):
+    """The adapted angle of a step: a float, or an array of one angle per
+    seed (each the float its seed alone would give) for per-seed outcomes."""
     a = st.nominal_angle()
-    if _outcome_parity(outcomes, st.s_adapt):
+    flip, turn = _outcome_parity(outcomes, st.s_adapt), _outcome_parity(outcomes, st.t_adapt)
+    if isinstance(flip, np.ndarray) or isinstance(turn, np.ndarray):
+        a = np.where(flip, -a, a)
+        return np.where(turn, a + np.pi, a)
+    if flip:
         a = -a
-    if _outcome_parity(outcomes, st.t_adapt):
+    if turn:
         a += np.pi
     return a
 
 
-def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
+def _execute_dense(cluster, pattern, input_state, rng):
     """The dense backend.  A batched ``input_state`` runs all its slices in
     one pass and returns a batched output state; it raises
     ``BatchDivergence`` at a readout whose slices would take different
-    branches."""
+    branches.
+
+    ``rng`` may be a list of S coin streams instead: the pass then runs the
+    input batch once per stream, as S seed-major copies in one array, each
+    copy taking its own branches on its own stream.  It returns one result
+    per stream, each with the outcomes, order, frame, coin draws and output
+    state a run on that stream alone would give."""
+    single = isinstance(rng, np.random.Generator)
+    seeds = 1 if single else len(rng)
     if input_state is None:
-        reg = DenseRegister(adjacency=cluster._adj)
+        reg = DenseRegister(adjacency=cluster._adj, batch=seeds)
     elif input_state.n != len(pattern.inputs):
         raise PatternError("input state size does not match pattern inputs")
     else:
-        reg = DenseRegister(pattern.inputs, input_state.psi, cluster._adj, input_state.batch)
-    outcomes: dict[int, int] = {}
+        psi = input_state.psi if seeds == 1 else \
+            np.tile(input_state.psi.reshape(-1, input_state.batch), seeds)
+        reg = DenseRegister(pattern.inputs, psi, cluster._adj, input_state.batch * seeds)
+    outcomes: dict = {}
     order: list[int] = []
     for st in pattern.steps:
         basis = Basis.Z if st.basis == "Z" else _effective_angle(st, outcomes)
@@ -279,9 +297,17 @@ def _execute_dense(cluster, pattern, input_state, rng) -> PatternResult:
         psi = np.linalg.eigh(rho)[1][:, :, -1]
     else:
         psi = mat[:, :, 0] / np.linalg.norm(mat, axis=(1, 2))[:, None]
-    frame = _frame_from_corrections(pattern, outcomes)
-    return PatternResult(outcomes, order, frame,
-                         output_state=StateVector(len(outs), psi.T, batch))
+    out = StateVector(len(outs), psi.T, batch)
+    if single:
+        return PatternResult(outcomes, order, _frame_from_corrections(pattern, outcomes),
+                             output_state=out)
+    columns = {v: o.tolist() for v, o in outcomes.items()}
+    results = []
+    for s, part in enumerate(out.split(seeds)):
+        got = {v: column[s] for v, column in columns.items()}
+        results.append(PatternResult(got, list(order), _frame_from_corrections(pattern, got),
+                                     output_state=part))
+    return results
 
 
 def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
@@ -514,15 +540,19 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     never certify at the 1e-9 level; the fidelity gap is zero iff the
     channels coincide up to global phase, which is the property needed.)
 
-    Each seed runs all 4^k inputs as one batch on its coin substream: in a
+    All seeds run in one dense pass: the 4^k inputs once per seed, seed
+    after seed in one batch, each seed on its own coin substream.  In a
     pattern with flow every branch is equally likely whatever the input
-    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), so the inputs
-    take one branch.  If a batch diverges, or is refused (by the dense cap,
-    which counts its log2 4^k batch bits, or by the purity check), the check
-    runs input by input instead, each input and seed on a fresh substream:
-    the runs, outcomes and refusals ``execute_pattern`` would give.
+    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), so the inputs of
+    a seed take one branch, and each seed draws the coins, and gets the
+    outcomes and frame, of a run on its substream alone.  If the dense cap
+    (which counts the log2 of the batch) refuses that batch, each seed runs
+    its 4^k inputs as a batch of its own.  If a batch diverges or is
+    refused (by the cap, or by the purity check), the check runs input by
+    input instead, each input and seed on a fresh substream: the runs,
+    outcomes and refusals ``execute_pattern`` would give.
     """
-    seeds = list(seeds)  # iterated again by the input-by-input runs; a generator would not be
+    seeds = list(seeds)  # iterated again by the fallbacks; a generator would not be
     if not seeds:
         raise PatternError("logical verification needs at least one seed")
     k = len(pattern.inputs)
@@ -540,32 +570,42 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     _check_runnable(cluster, pattern)
     names, inputs = _spanning_inputs(k)
     expected = target @ inputs
+
+    def coins(seed):
+        return substream(root_seed, "verify", int(seed))
+
     try:
         batch = StateVector(k, inputs, len(names))
-        dist = np.max([_distances(cluster, pattern, batch, expected, root_seed, s)
-                       for s in seeds], axis=0)
+        try:
+            results = _execute_dense(cluster, pattern, batch, [coins(s) for s in seeds])
+        except SizeCapError:
+            results = [_execute_dense(cluster, pattern, batch, coins(s)) for s in seeds]
+        dist = _distances(results, pattern, expected)
     except (BatchDivergence, SizeCapError, PatternError):
         dist = []
         for b in range(len(names)):
             inp = StateVector(k, inputs[:, b])
-            dist.append(max(_distances(cluster, pattern, inp, expected[:, [b]], root_seed, s)[0]
-                            for s in seeds))
+            runs = [_execute_dense(cluster, pattern, inp, coins(s)) for s in seeds]
+            dist.append(_distances(runs, pattern, expected[:, [b]])[0])
     per_input = {name: float(d) for name, d in zip(names, dist)}
     return LogicalChannelReport(distance=max(per_input.values()), per_input=per_input,
                                 n_seeds=len(seeds), target_shape=target.shape)
 
 
-def _distances(cluster, pattern, inputs: StateVector, expected, root_seed, seed) -> np.ndarray:
-    """1 - fidelity to each column of ``expected`` of the frame-corrected
-    output of one dense run of the batch ``inputs`` on the coin substream
-    of ``seed``."""
-    batch = inputs.batch
-    res = _execute_dense(cluster, pattern, inputs, substream(root_seed, "verify", int(seed)))
-    out = res.output_state
-    idx = {v: i for i, v in enumerate(pattern.outputs)}
-    for v in res.frame.x:
-        out.apply_gate("X", idx[v])
-    for v in res.frame.z:
-        out.apply_gate("Z", idx[v])
-    fid = np.abs(np.einsum("ib,ib->b", expected.conj(), out.psi.reshape(-1, batch)))
-    return 1.0 - np.minimum(1.0, fid)
+def _distances(results: list[PatternResult], pattern, expected) -> np.ndarray:
+    """1 - fidelity of each slice of the frame-corrected outputs of dense
+    runs of one batch to the matching column of ``expected``, the worst
+    over the runs.  A frame X swaps the halves of its output's axis and a
+    frame Z negates the upper half, as the gates would."""
+    k = len(pattern.outputs)
+    psi = np.stack([res.output_state.psi.reshape([2] * k + [-1]) for res in results], axis=-2)
+    for j, v in enumerate(pattern.outputs):
+        flip_x = np.array([v in res.frame.x for res in results])
+        if flip_x.any():
+            psi = np.where(flip_x[:, None], np.flip(psi, j), psi)
+        flip_z = np.array([v in res.frame.z for res in results])
+        if flip_z.any():
+            upper = psi[(slice(None),) * j + (1,)]
+            upper[...] = np.where(flip_z[:, None], -upper, upper)
+    fid = np.abs(np.einsum("ib,isb->sb", expected.conj(), psi.reshape(1 << k, len(results), -1)))
+    return 1.0 - np.minimum(1.0, fid.min(axis=0))

@@ -24,11 +24,19 @@ def substream(seed: int, *labels: str | int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=keys)))
 
 
-def draw_sign_bit(rng: np.random.Generator, p_minus: float | np.ndarray) -> int | np.ndarray:
+def draw_sign_bit(rng: np.random.Generator, p_minus: float) -> int:
     """One outcome draw: returns 1 (outcome -1) with probability p_minus.
 
     Both simulation backends use this single helper so that identical seeds
-    give identical measurement transcripts.  Given an array of
-    probabilities, the one draw decides each entry: an array of bits.
+    give identical measurement transcripts.
     """
     return (rng.random() < p_minus) * 1
+
+
+def draw_shared_sign_bit(rng: np.random.Generator, lo: float, hi: float) -> int | None:
+    """One outcome draw for a set of probabilities from ``lo`` to ``hi``:
+    the bit ``draw_sign_bit`` would give every one of them on this draw, or
+    None when the draw splits them."""
+    coin = rng.random()
+    below_lo, below_hi = coin < lo, coin < hi
+    return int(below_lo) if below_lo == below_hi else None

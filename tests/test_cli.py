@@ -351,6 +351,21 @@ class TestMbqc:
         assert rc == EXIT_CONFIG
         assert "bad cluster file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"vertices": [{"id": 0, "op": "S"}, {"id": 0, "op": "H"}, {"id": 1.7}],
+         "edges": [[0, 1]]},
+        {"vertices": [{"id": 0}, {"id": True}, {"id": 2}], "edges": [[0, 2]]},
+        {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}], "edges": [[0, 1], [1, 2.5]]},
+    ])
+    def test_bad_ids_in_cluster_file_are_a_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = run_cli(["mbqc", "--cluster", f"file:{path}", "--builtin", "wire:3",
+                      "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert "bad cluster file" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_nan_angle_in_pattern_file_is_a_config_error(self, tmp_path):
         pf = tmp_path / "pattern.json"
         pf.write_text('{"inputs": [0], "outputs": [2], "corrections": {}, "steps": '

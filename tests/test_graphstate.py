@@ -284,6 +284,26 @@ class TestExport:
         text = '{"edges": [[0, 1]], "vertices": [{"id": 0, "op": ""}, {"id": 1, "op": "S"}]}'
         assert graph_from_json(text) == GraphState(range(2), [(0, 1)], {1: cliffords.S})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": [{"id": 0, "op": "S"}, {"id": 0, "op": "H"}, {"id": 1}],
+          "edges": [[0, 1]]}, "listed twice"),
+        ({"vertices": [{"id": 0}, {"id": 1.7}], "edges": [[0, 1]]}, "vertex ids"),
+        ({"vertices": [{"id": 0}, {"id": 1.0}], "edges": []}, "vertex ids"),
+        ({"vertices": [{"id": 0}, {"id": True}], "edges": []}, "vertex ids"),
+        ({"vertices": [{"id": "0"}], "edges": []}, "vertex ids"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1.0]]}, "edge ends"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [[False, 1]]}, "edge ends"),
+    ])
+    def test_bad_ids_are_refused(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            graph_from_json(json.dumps(doc))
+
+    def test_export_loads_to_an_equal_graph(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            g = random_graph(int(rng.integers(2, 12)), rng, with_ops=True)
+            assert graph_from_json(export(g, "json").decode()) == g
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export(GraphState(), "yaml")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sicluster import lattice
+from sicluster import lattice, statevec
 from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import export
 from sicluster.lattice import (
@@ -227,19 +227,25 @@ class TestRunProtocol:
         """On 1x11 every electron leaves at the first shuttle.  That Z readout
         commutes with its C-phase, which becomes a Z on the nucleus when the
         electron reads 1, so every readout sees the electron alone and
-        extraction sees the 11 nuclei."""
+        extraction sees the 11 nuclei.  A readout of a qubit the array does
+        not hold reads its one-qubit ket in place."""
         widths, extracted = [], []
-        measure_out = StateVector.measure_out
+        measure_out, read_ket = StateVector.measure_out, statevec._read_ket
 
         def spy_measure_out(sv, q, basis, rng):
             widths.append(sv.n)
             return measure_out(sv, q, basis, rng)
+
+        def spy_read_ket(ket, basis, rng):
+            widths.append(len(ket).bit_length() - 1)
+            return read_ket(ket, basis, rng)
 
         def spy_extract(psi):
             extracted.append(int(np.log2(psi.size)))
             return stabilizer_matrix(psi)
 
         monkeypatch.setattr(StateVector, "measure_out", spy_measure_out)
+        monkeypatch.setattr(statevec, "_read_ket", spy_read_ket)
         monkeypatch.setattr(lattice, "stabilizer_matrix", spy_extract)
         run_protocol(DonorLattice(1, 11), standard_protocol(), backend="statevector",
                      rng=np.random.default_rng(0))

@@ -632,12 +632,14 @@ def test_batched_check_matches_the_per_input_loop(case):
 
 
 def _spy_dense_batches(monkeypatch) -> list[int]:
-    """Record the batch size of every dense execution."""
+    """Record the batch size of every dense execution: the input batch,
+    once per coin stream when it is given a list of them."""
     batches = []
     run = mbqc._execute_dense
 
     def spy(cluster, pattern, input_state, rng):
-        batches.append(1 if input_state is None else input_state.batch)
+        seeds = 1 if isinstance(rng, np.random.Generator) else len(rng)
+        batches.append(seeds * (1 if input_state is None else input_state.batch))
         return run(cluster, pattern, input_state, rng)
 
     monkeypatch.setattr(mbqc, "_execute_dense", spy)
@@ -645,22 +647,22 @@ def _spy_dense_batches(monkeypatch) -> list[int]:
 
 
 class TestBatchedLogicalCheck:
-    def test_one_dense_run_per_seed(self, monkeypatch):
+    def test_one_dense_run_for_all_seeds(self, monkeypatch):
         batches = _spy_dense_batches(monkeypatch)
         rep = verify_logical(line_graph(5), rotation_chain_pattern(0.1, 0.2, 0.3),
                              rotation_chain_target(0.1, 0.2, 0.3), seeds=range(5))
         assert rep.distance < 1e-9
-        assert batches == [4] * 5
+        assert batches == [5 * 4]
         batches.clear()
         cluster, pattern = _cz_pattern()
         verify_logical(cluster, pattern, np.diag([1, 1, 1, -1]), seeds=range(2))
-        assert batches == [16] * 2
+        assert batches == [2 * 16]
 
     def test_divergent_batch_runs_input_by_input(self, monkeypatch):
         cluster, pattern, target, seeds, _, _ = _z_read_input_case()
         batches = _spy_dense_batches(monkeypatch)
         rep = verify_logical(cluster, pattern, target, seeds)
-        assert batches == [4] + [1] * 12
+        assert batches == [3 * 4] + [1] * 12
         assert rep.per_input == _reference_verify_logical(cluster, pattern, target, seeds)
 
     def test_batch_past_the_cap_runs_input_by_input(self, monkeypatch):
@@ -669,7 +671,53 @@ class TestBatchedLogicalCheck:
         rep = verify_logical(line_graph(5), rotation_chain_pattern(0.1, 0.2, 0.3),
                              rotation_chain_target(0.1, 0.2, 0.3), seeds=range(2))
         assert rep.distance < 1e-9
-        assert batches == [4] + [1] * 8
+        assert batches == [2 * 4, 4] + [1] * 8
+
+    def test_seed_batch_past_the_cap_runs_one_batch_per_seed(self, monkeypatch):
+        """A cap that refuses the 5-seed batch (2 qubits, 20 slices) but fits
+        one seed's 4 slices runs a batch per seed, not input by input."""
+        monkeypatch.setattr(statevec, "MAX_QUBITS", 4)
+        cluster, target = line_graph(5), rotation_chain_target(0.1, 0.2, 0.3)
+        pattern = rotation_chain_pattern(0.1, 0.2, 0.3)
+        batches = _spy_dense_batches(monkeypatch)
+        rep = verify_logical(cluster, pattern, target, seeds=range(5))
+        assert batches == [5 * 4] + [4] * 5
+        want = _reference_verify_logical(cluster, pattern, target, range(5))
+        assert all(abs(rep.per_input[name] - d) <= 1e-15 for name, d in want.items())
+
+    @pytest.mark.parametrize("case", ["rotation chain", "carved wire"])
+    def test_seed_batch_gives_each_seed_its_own_run(self, case):
+        """One pass for 8 seeds gives each seed the outcomes, order, frame,
+        final coin-stream state and output of a batch run on its stream
+        alone.  The rotation chain adapts its XY angles per seed; the carved
+        wire 0-1-2-5-8 on a 3x3 grid first reads 3, 4 and 7 in Z, whose
+        outcomes put per-seed Zs on the input (in the array) and on detached
+        stragglers, and then reads those stragglers' per-seed kets."""
+        a, b, c = 0.3, -1.1, 0.7
+        if case == "rotation chain":
+            cluster, pattern = line_graph(5), rotation_chain_pattern(a, b, c)
+        else:
+            cluster = grid_graph(3, 3)
+            pattern, path = carved_wire_pattern(cluster, 0, 8, angles=[0.0, -a, -b, -c])
+            assert path == [0, 1, 2, 5, 8]
+            assert [st.vertex for st in pattern.steps[:3]] == [3, 4, 7]
+        names, inputs = mbqc._spanning_inputs(1)
+        batch = StateVector(1, inputs, len(names))
+        seeds = range(8)
+        coins = [substream(0, "verify", s) for s in seeds]
+        got = mbqc._execute_dense(cluster, pattern, batch, coins)
+        assert len(got) == len(seeds)
+        for s, res, rng in zip(seeds, got, coins):
+            ref_rng = substream(0, "verify", s)
+            want = mbqc._execute_dense(cluster, pattern, batch, ref_rng)
+            assert res.outcomes == want.outcomes and res.order == want.order
+            assert res.frame == want.frame
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert res.output_state.batch == want.output_state.batch == len(names)
+            assert np.allclose(res.output_state.psi, want.output_state.psi, atol=1e-14)
+        # The seeds took both branches at these readouts (on the wire, at its Z cuts too).
+        for v in ([1, 2, 3] if case == "rotation chain" else [3, 4, 7, 1]):
+            assert len({res.outcomes[v] for res in got}) == 2, v
 
     def test_refused_carve_still_names_its_straggler(self):
         cluster, pattern, target, seeds, _, _ = _refused_carve_case()

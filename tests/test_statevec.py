@@ -458,6 +458,56 @@ class TestBatchedReadout:
         assert reg.sv.n == 2
 
 
+class TestNormCheck:
+    def test_one_drifted_slice_fails_the_batch(self):
+        psi = np.tile(KET_PLUS[:, None], (1, 5))
+        psi[:, 3] *= 1 + 5e-8  # inside the bound
+        StateVector(1, psi, 5)
+        for k in (0, 3, 4):
+            drifted = psi.copy()
+            drifted[:, k] *= 1 + 2e-7
+            with pytest.raises(AssertionError, match="norm drifted"):
+                StateVector(1, drifted, 5)
+
+
+class TestDetachedReadout:
+    """A detached qubit's ket is read in place as a one-qubit state would be."""
+
+    @pytest.mark.parametrize("basis", _READOUTS, ids=str)
+    def test_in_place_read_matches_a_one_qubit_state(self, basis):
+        rng = np.random.default_rng(31)
+        eigvecs = [KET_ZERO, KET_ONE] if basis is Basis.Z else list(statevec._eigvecs(basis))
+        kets = eigvecs + [_random_dense(1, rng).psi for _ in range(200)]
+        outcomes = set()
+        for seed, ket in enumerate(kets):
+            coins, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = statevec._read_ket(ket, basis, coins)
+            want = StateVector(1, ket).measure_out(0, basis, ref)
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            assert coins.bit_generator.state == ref.bit_generator.state
+            outcomes.add(got[:2])
+        assert outcomes == {(1, True), (-1, True), (1, False), (-1, False)}
+
+    def test_per_seed_read_matches_each_seed_alone(self):
+        """A ket per seed, read in Z or at an angle per seed, gives each seed
+        the outcome, flag, eigenvector and coin draw of its own read."""
+        rng = np.random.default_rng(32)
+        seeds = 5
+        for trial in range(40):
+            kets = np.stack([_random_dense(1, rng).psi for _ in range(seeds)], axis=1)
+            kets[:, 0] = KET_ONE  # one deterministic seed
+            angles = rng.uniform(-np.pi, np.pi, seeds)
+            for basis, each in ((Basis.Z, [Basis.Z] * seeds), (angles, angles.tolist())):
+                coins = [np.random.default_rng([trial, s]) for s in range(seeds)]
+                outcome, det, vecs = statevec._read_ket(kets, basis, coins)
+                for s in range(seeds):
+                    ref = np.random.default_rng([trial, s])
+                    want = statevec._read_ket(kets[:, s].copy(), each[s], ref)
+                    assert (outcome[s], det[s]) == want[:2]
+                    assert np.array_equal(vecs[:, s], want[2])
+                    assert coins[s].bit_generator.state == ref.bit_generator.state
+
+
 class TestSvRun:
     """Short scripted runs on a StateVector: prepare, apply gates, read out."""
 
