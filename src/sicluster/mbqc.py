@@ -32,8 +32,8 @@ import numpy as np
 from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.lattice import PauliFrame
-from sicluster.rng import substream
-from sicluster.statevec import BatchDivergence, DenseRegister, SizeCapError, StateVector, mat_rz
+from sicluster.rng import CoinRows, substream
+from sicluster.statevec import DenseRegister, SizeCapError, StateVector, mat_rz
 from sicluster.tableau import (  # noqa: F401  (the benchmark tracer patches the last two here)
     Basis,
     from_graph_state,
@@ -149,6 +149,11 @@ class MeasurementPattern:
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementPattern":
+        """The pattern of a document in the form ``to_json`` writes.  Vertex
+        ids (the inputs, outputs, each step's ``v``, ``s`` and ``t``, and each
+        correction's key and ``x``/``z`` sets) must be integers, booleans
+        excluded, and ``corrections`` an object of objects; any other
+        document raises PatternError."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -156,36 +161,49 @@ class MeasurementPattern:
         try:
             steps = [
                 MeasurementStep(
-                    vertex=int(d["v"]),
+                    vertex=_ids([d["v"]])[0],
                     basis=d.get("basis"),
                     angle=d.get("angle"),
-                    s_adapt=frozenset(d.get("s", ())),
-                    t_adapt=frozenset(d.get("t", ())),
+                    s_adapt=frozenset(_ids(d.get("s", ()))),
+                    t_adapt=frozenset(_ids(d.get("t", ()))),
                 )
                 for d in doc["steps"]
             ]
+            corrections = doc.get("corrections", {})
+            if not (isinstance(corrections, dict)
+                    and all(isinstance(sets, dict) for sets in corrections.values())):
+                raise PatternError("corrections must be an object of objects")
             corrections = {
-                int(out): {"x": frozenset(sets.get("x", ())), "z": frozenset(sets.get("z", ()))}
-                for out, sets in doc.get("corrections", {}).items()
+                int(out): {"x": frozenset(_ids(sets.get("x", ()))),
+                           "z": frozenset(_ids(sets.get("z", ())))}
+                for out, sets in corrections.items()
             }
-            return cls(list(map(int, doc["inputs"])), list(map(int, doc["outputs"])),
-                       steps, corrections)
+            return cls(_ids(doc["inputs"]), _ids(doc["outputs"]), steps, corrections)
         except (KeyError, TypeError, ValueError) as exc:
             raise PatternError(f"malformed pattern document: {exc}") from exc
+
+
+def _ids(values) -> list[int]:
+    """A pattern document's vertex ids as a list; ValueError unless each is
+    an integer (booleans and floats included)."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"vertex ids must be integers, got {values!r}")
+    return values
 
 
 @dataclass
 class PatternResult:
     outcomes: dict[int, int]
     order: list[int]
-    frame: PauliFrame
+    frame: PauliFrame | None  # None for a per-slice dense run
     output_state: StateVector | None = None  # dense backend
     output_graph: GraphState | None = None  # stabilizer backend
 
 
 def _outcome_parity(outcomes: dict, deps):
     """The parity of the -1 outcomes among ``deps``: an int, or an array of
-    one parity per seed when each outcome is an array of one per seed."""
+    one parity per slice when each outcome is an array of one per slice."""
     return sum(outcomes[v] == -1 for v in deps) & 1
 
 
@@ -206,9 +224,9 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
 
     The dense backend accepts any angles and an arbitrary ``input_state``
     over ``pattern.inputs`` (cluster qubits not listed as inputs start in
-    |+>).  The stabilizer backend runs the graph-state engine; it is
-    restricted to Pauli steps and |+> inputs and returns the output as a
-    graph state.  Both backends refuse a pattern that leaves an unmeasured
+    |+>), one state rather than a batch.  The stabilizer backend runs the
+    graph-state engine; it is restricted to Pauli steps and |+> inputs and
+    returns the output as a graph state.  Both backends refuse a pattern that leaves an unmeasured
     non-output vertex entangled with the outputs.  Both borrow the cluster's
     adjacency and copy only the neighbour sets the pattern touches, so a
     small pattern on a large cluster copies little; the cluster is never
@@ -218,6 +236,8 @@ def execute_pattern(cluster: GraphState, pattern: MeasurementPattern,
     if rng is None:
         rng = np.random.default_rng(0)
     if backend == "statevector":
+        if input_state is not None and input_state.batch != 1:
+            raise PatternError("execute_pattern runs one input state, not a batch")
         return _execute_dense(cluster, pattern, input_state, rng)
     if backend == "stabilizer":
         if input_state is not None:
@@ -237,7 +257,7 @@ def _check_runnable(cluster: GraphState, pattern: MeasurementPattern) -> None:
 
 def _effective_angle(st: MeasurementStep, outcomes: dict):
     """The adapted angle of a step: a float, or an array of one angle per
-    seed (each the float its seed alone would give) for per-seed outcomes."""
+    slice (each the float its run alone would give) for per-slice outcomes."""
     a = st.nominal_angle()
     flip, turn = _outcome_parity(outcomes, st.s_adapt), _outcome_parity(outcomes, st.t_adapt)
     if isinstance(flip, np.ndarray) or isinstance(turn, np.ndarray):
@@ -251,26 +271,19 @@ def _effective_angle(st: MeasurementStep, outcomes: dict):
 
 
 def _execute_dense(cluster, pattern, input_state, rng):
-    """The dense backend.  A batched ``input_state`` runs all its slices in
-    one pass and returns a batched output state; it raises
-    ``BatchDivergence`` at a readout whose slices would take different
-    branches.
-
-    ``rng`` may be a list of S coin streams instead: the pass then runs the
-    input batch once per stream, as S seed-major copies in one array, each
-    copy taking its own branches on its own stream.  It returns one result
-    per stream, each with the outcomes, order, frame, coin draws and output
-    state a run on that stream alone would give."""
-    single = isinstance(rng, np.random.Generator)
-    seeds = 1 if single else len(rng)
+    """The dense backend.  A ``Generator`` drives one run.  ``rng`` may
+    instead be ``CoinRows`` of one row per slice of a batched
+    ``input_state``: each slice is then its own run, drawing its coins from
+    its own row, and the result holds one outcome per slice for each vertex
+    and the batched output state, but no frame (``_distances`` applies the
+    corrections per slice).  A slice left mixed by the pattern refuses the
+    batch, naming the first such slice's purity."""
     if input_state is None:
-        reg = DenseRegister(adjacency=cluster._adj, batch=seeds)
+        reg = DenseRegister(adjacency=cluster._adj)
     elif input_state.n != len(pattern.inputs):
         raise PatternError("input state size does not match pattern inputs")
     else:
-        psi = input_state.psi if seeds == 1 else \
-            np.tile(input_state.psi.reshape(-1, input_state.batch), seeds)
-        reg = DenseRegister(pattern.inputs, psi, cluster._adj, input_state.batch * seeds)
+        reg = DenseRegister(pattern.inputs, input_state.psi, cluster._adj, input_state.batch)
     outcomes: dict = {}
     order: list[int] = []
     for st in pattern.steps:
@@ -286,28 +299,21 @@ def _execute_dense(cluster, pattern, input_state, rng):
         # Unmeasured vertices still in the array are tolerated only when the
         # pattern has disentangled them from the outputs: demand a pure trace.
         rho = mat @ mat.conj().transpose(0, 2, 1)
-        purity = float(np.einsum("bij,bji->b", rho, rho).real.min())
-        if purity < 1 - 1e-9:
+        purity = np.einsum("bij,bji->b", rho, rho).real
+        mixed = np.flatnonzero(purity < 1 - 1e-9)
+        if mixed.size:
             # Name the unmeasured vertices the array holds beside the outputs:
             # those the outputs can be entangled with.
             stragglers = sorted(v for v in reg.axes if v not in outs)
             raise PatternError(
                 "pattern leaves unmeasured vertices entangled with the outputs: "
-                f"{stragglers} (purity {purity:.6f})")
+                f"{stragglers} (purity {purity[mixed[0]]:.6f})")
         psi = np.linalg.eigh(rho)[1][:, :, -1]
     else:
         psi = mat[:, :, 0] / np.linalg.norm(mat, axis=(1, 2))[:, None]
-    out = StateVector(len(outs), psi.T, batch)
-    if single:
-        return PatternResult(outcomes, order, _frame_from_corrections(pattern, outcomes),
-                             output_state=out)
-    columns = {v: o.tolist() for v, o in outcomes.items()}
-    results = []
-    for s, part in enumerate(out.split(seeds)):
-        got = {v: column[s] for v, column in columns.items()}
-        results.append(PatternResult(got, list(order), _frame_from_corrections(pattern, got),
-                                     output_state=part))
-    return results
+    frame = _frame_from_corrections(pattern, outcomes) \
+        if isinstance(rng, np.random.Generator) else None
+    return PatternResult(outcomes, order, frame, output_state=StateVector(len(outs), psi.T, batch))
 
 
 def _execute_stabilizer(cluster, pattern, rng) -> PatternResult:
@@ -540,19 +546,19 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
     never certify at the 1e-9 level; the fidelity gap is zero iff the
     channels coincide up to global phase, which is the property needed.)
 
-    All seeds run in one dense pass: the 4^k inputs once per seed, seed
-    after seed in one batch, each seed on its own coin substream.  In a
-    pattern with flow every branch is equally likely whatever the input
-    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), so the inputs of
-    a seed take one branch, and each seed draws the coins, and gets the
-    outcomes and frame, of a run on its substream alone.  If the dense cap
-    (which counts the log2 of the batch) refuses that batch, each seed runs
-    its 4^k inputs as a batch of its own.  If a batch diverges or is
-    refused (by the cap, or by the purity check), the check runs input by
-    input instead, each input and seed on a fresh substream: the runs,
-    outcomes and refusals ``execute_pattern`` would give.
+    The 4^k inputs and the seeds run in one dense pass, as a batch of
+    4^k x S slices, input-major: slice i runs input i // S on seed i % S,
+    the order of one ``execute_pattern`` per input and seed.  Each slice is
+    its own run: it draws its coins from its own row of a table that holds,
+    for seed s, the first ``len(pattern.steps)`` coins of the substream
+    ``substream(root_seed, "verify", s)``, so it takes the branches and
+    gets the outcomes and frame of that single run.  If the dense cap
+    (which counts the log2 of the batch) refuses the batch, the slices run
+    in consecutive chunks, the chunk halving down to one slice, which the
+    cap refuses exactly as it would a single run; a purity refusal names
+    the first slice that fails it.
     """
-    seeds = list(seeds)  # iterated again by the fallbacks; a generator would not be
+    seeds = list(seeds)
     if not seeds:
         raise PatternError("logical verification needs at least one seed")
     k = len(pattern.inputs)
@@ -569,43 +575,47 @@ def verify_logical(cluster: GraphState, pattern: MeasurementPattern,
         raise PatternError("target must be finite")
     _check_runnable(cluster, pattern)
     names, inputs = _spanning_inputs(k)
-    expected = target @ inputs
+    states = np.repeat(inputs, len(seeds), axis=1)
+    expected = np.repeat(target @ inputs, len(seeds), axis=1)
+    coins = np.tile([substream(root_seed, "verify", int(s)).random(len(pattern.steps))
+                     for s in seeds], (len(names), 1))
 
-    def coins(seed):
-        return substream(root_seed, "verify", int(seed))
+    def distances(part: slice) -> np.ndarray:
+        batch = StateVector(k, states[:, part], len(coins[part]))
+        return _distances(_execute_dense(cluster, pattern, batch, CoinRows(coins[part])),
+                          pattern, expected[:, part])
 
-    try:
-        batch = StateVector(k, inputs, len(names))
+    runs = chunk = states.shape[1]
+    while True:
         try:
-            results = _execute_dense(cluster, pattern, batch, [coins(s) for s in seeds])
+            dist = np.concatenate([distances(slice(i, i + chunk)) for i in range(0, runs, chunk)])
+            break
         except SizeCapError:
-            results = [_execute_dense(cluster, pattern, batch, coins(s)) for s in seeds]
-        dist = _distances(results, pattern, expected)
-    except (BatchDivergence, SizeCapError, PatternError):
-        dist = []
-        for b in range(len(names)):
-            inp = StateVector(k, inputs[:, b])
-            runs = [_execute_dense(cluster, pattern, inp, coins(s)) for s in seeds]
-            dist.append(_distances(runs, pattern, expected[:, [b]])[0])
-    per_input = {name: float(d) for name, d in zip(names, dist)}
+            if chunk == 1:
+                raise
+            chunk //= 2
+    worst = dist.reshape(len(names), -1).max(axis=1)
+    per_input = {name: float(d) for name, d in zip(names, worst)}
     return LogicalChannelReport(distance=max(per_input.values()), per_input=per_input,
                                 n_seeds=len(seeds), target_shape=target.shape)
 
 
-def _distances(results: list[PatternResult], pattern, expected) -> np.ndarray:
-    """1 - fidelity of each slice of the frame-corrected outputs of dense
-    runs of one batch to the matching column of ``expected``, the worst
-    over the runs.  A frame X swaps the halves of its output's axis and a
-    frame Z negates the upper half, as the gates would."""
+def _distances(res: PatternResult, pattern, expected) -> np.ndarray:
+    """1 - fidelity of each slice of a per-slice dense run's frame-corrected
+    output to the matching column of ``expected``.  The frame is read off
+    each slice's outcomes: a frame X swaps the halves of its output's axis
+    and a frame Z negates the upper half, as the gates would (in place, in
+    the result's output state)."""
     k = len(pattern.outputs)
-    psi = np.stack([res.output_state.psi.reshape([2] * k + [-1]) for res in results], axis=-2)
+    psi = res.output_state.psi.reshape([2] * k + [-1])
     for j, v in enumerate(pattern.outputs):
-        flip_x = np.array([v in res.frame.x for res in results])
-        if flip_x.any():
-            psi = np.where(flip_x[:, None], np.flip(psi, j), psi)
-        flip_z = np.array([v in res.frame.z for res in results])
-        if flip_z.any():
+        sets = pattern.corrections.get(v, {})
+        flip_x = _outcome_parity(res.outcomes, sets.get("x", ()))
+        if np.any(flip_x):
+            psi = np.where(flip_x, np.flip(psi, j), psi)
+        flip_z = _outcome_parity(res.outcomes, sets.get("z", ()))
+        if np.any(flip_z):
             upper = psi[(slice(None),) * j + (1,)]
-            upper[...] = np.where(flip_z[:, None], -upper, upper)
-    fid = np.abs(np.einsum("ib,isb->sb", expected.conj(), psi.reshape(1 << k, len(results), -1)))
-    return 1.0 - np.minimum(1.0, fid.min(axis=0))
+            upper[...] = np.where(flip_z, -upper, upper)
+    fid = np.abs(np.einsum("ib,ib->b", expected.conj(), psi.reshape(1 << k, -1)))
+    return 1.0 - np.minimum(1.0, fid)

@@ -1,7 +1,8 @@
 """Deterministic RNG plumbing: one root seed, labeled substreams.
 
 Every stochastic operation in the package draws from an explicit
-``numpy.random.Generator``.  Substreams give independent, reproducible
+``numpy.random.Generator``, or from coins pre-drawn from one
+(``CoinRows``).  Substreams give independent, reproducible
 streams per purpose (measurement coins, each noise channel, each Monte
 Carlo trial) so that disabling one consumer never shifts another's draws.
 """
@@ -28,15 +29,26 @@ def draw_sign_bit(rng: np.random.Generator, p_minus: float) -> int:
     """One outcome draw: returns 1 (outcome -1) with probability p_minus.
 
     Both simulation backends use this single helper so that identical seeds
-    give identical measurement transcripts.
+    give identical measurement transcripts.  A caller draws no coin for a
+    deterministic outcome; ``CoinRows`` applies the same rule to a batch.
     """
     return (rng.random() < p_minus) * 1
 
 
-def draw_shared_sign_bit(rng: np.random.Generator, lo: float, hi: float) -> int | None:
-    """One outcome draw for a set of probabilities from ``lo`` to ``hi``:
-    the bit ``draw_sign_bit`` would give every one of them on this draw, or
-    None when the draw splits them."""
-    coin = rng.random()
-    below_lo, below_hi = coin < lo, coin < hi
-    return int(below_lo) if below_lo == below_hi else None
+class CoinRows:
+    """Pre-drawn coins for a batch of runs: row i holds the coins run i
+    draws, in order, and ``cursor[i]`` counts those it has used.  A row of
+    ``substream(...).random(m)`` holds the m coins that m ``draw_sign_bit``
+    calls on that substream would draw, so each run reads out as it would
+    alone; a row needs one coin per readout of its run."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, float)
+        self.cursor = np.zeros(len(self.rows), np.intp)
+
+    def sign_bits(self, p_minus: np.ndarray, random: np.ndarray) -> np.ndarray:
+        """``draw_sign_bit(p_minus[i])`` for each run i that ``random`` marks,
+        on the next coin of its own row; the other runs draw none (False)."""
+        coins = self.rows[np.arange(len(self.cursor)), self.cursor]
+        self.cursor += random
+        return random & (coins < p_minus)

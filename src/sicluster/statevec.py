@@ -17,7 +17,7 @@ import numpy as np
 
 from sicluster import cliffords
 from sicluster.graphstate import BorrowedAdjacency, GraphState
-from sicluster.rng import draw_shared_sign_bit, draw_sign_bit
+from sicluster.rng import draw_sign_bit
 from sicluster.tableau import (  # noqa: F401  (SizeCapError is re-exported)
     Basis,
     PauliString,
@@ -80,33 +80,13 @@ def _check_cap(n: int, batch: int) -> None:
             f"{n} qubits in a batch of {batch} exceed the dense cap of {MAX_QUBITS}")
 
 
-def _seed_branches(p: np.ndarray, rngs) -> tuple[list[bool], list[int]]:
-    """(deterministic, bit) per seed of a batched readout whose slices read
-    -1 with probabilities ``p``, one row of slices per seed.  A seed whose
-    outcome is random draws one coin from its own stream in ``rngs``, which
-    decides all its slices; raises BatchDivergence unless the slices of
-    every seed take one branch, checking before any coin is drawn whether
-    each seed's outcome is random."""
-    lo, hi = p.min(axis=1).tolist(), p.max(axis=1).tolist()
-    det = [h < ATOL or l > 1 - ATOL for l, h in zip(lo, hi)]
-    if any(not d and (l < ATOL or h > 1 - ATOL) for d, l, h in zip(det, lo, hi)):
-        raise BatchDivergence("batch slices take different branches")
-    bits = []
-    for d, l, h, rng in zip(det, lo, hi, rngs):
-        bit = int(l > 1 - ATOL) if d else draw_shared_sign_bit(rng, l, h)
-        if bit is None:
-            raise BatchDivergence("batch slices take different branches")
-        bits.append(bit)
-    return det, bits
-
-
 def _read_ket(ket: np.ndarray, basis: Basis | float, rng) -> tuple:
     """``StateVector(1, ket).measure_out(0, basis, rng)`` read in place: the
     same projection arithmetic, outcome, coin draws and eigenvector, with
-    no copy of the ket.  Given one generator per seed (as
-    ``StateVector._measure`` takes them), ``ket`` is one ket or a 2 x S
-    array of one column per seed, ``basis`` may be one angle per seed, and
-    the outcome, deterministic flag and eigenvector come back per seed."""
+    no copy of the ket.  Given ``CoinRows`` (as ``StateVector._measure``
+    takes them), ``ket`` is one ket or a 2 x B array of one column per run,
+    ``basis`` may be one angle per run, and the outcome, deterministic flag
+    and eigenvector come back per run."""
     if basis is Basis.Z:
         v_plus, v_minus = KET_ZERO, KET_ONE
         a_minus = ket[1]
@@ -119,26 +99,24 @@ def _read_ket(ket: np.ndarray, basis: Basis | float, rng) -> tuple:
         det = p_minus < ATOL or p_minus > 1 - ATOL
         bit = int(p_minus > 0.5) if det else draw_sign_bit(rng, p_minus)
         return (-1 if bit else 1), det, (v_minus if bit else v_plus)
-    det, bits = _seed_branches(np.broadcast_to(p_minus, (len(rng),))[:, None], rng)
-    return _seed_readout(det, bits, v_plus, v_minus)
+    return _read_runs(np.broadcast_to(p_minus, rng.cursor.shape), rng, v_plus, v_minus)[1]
 
 
-def _seed_readout(det: list[bool], bits: list[int], v_plus: np.ndarray,
-                  v_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(outcomes, deterministic flags, eigenvectors) of a readout per seed,
-    the eigenvectors as the columns of a 2 x S array."""
-    taken = np.array(bits, bool)
-    kets = np.where(taken, v_minus.reshape(2, -1), v_plus.reshape(2, -1))
-    return np.where(taken, -1, 1), np.array(det), kets
+def _read_runs(p_minus: np.ndarray, coins, v_plus: np.ndarray,
+               v_minus: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(taken, (outcomes, deterministic flags, eigenvectors)) of a readout
+    whose run i reads -1 with probability ``p_minus[i]``: ``taken`` marks
+    the runs that read -1, and the eigenvectors are the columns of a 2 x B
+    array.  Each run draws as ``draw_sign_bit`` would, from its own row of
+    ``coins``."""
+    det = (p_minus < ATOL) | (p_minus > 1 - ATOL)
+    taken = (p_minus > 1 - ATOL) | coins.sign_bits(p_minus, ~det)
+    vecs = np.where(taken, v_minus.reshape(2, -1), v_plus.reshape(2, -1))
+    return taken, (np.where(taken, -1, 1), det, vecs)
 
 
 class ZeroProbabilityError(RuntimeError):
     """Raised when projecting onto a zero-probability branch."""
-
-
-class BatchDivergence(RuntimeError):
-    """Raised when the slices of a batched readout would take different
-    branches; the state is left as it was."""
 
 
 class StateVector:
@@ -147,11 +125,11 @@ class StateVector:
     n = 0 is the empty register: one amplitude, a global phase.  With
     ``batch`` = B the array holds B states on the same qubits, the slice
     index running fastest (``psi`` read as [2^n, B]); ``n`` counts qubits
-    only, and n + log2 B must fit the cap.  Gates act on every slice, and a
-    readout takes one branch for all of them (``BatchDivergence`` if they
-    would not), or, given one coin stream per seed, one branch per seed.
-    ``prob_one``, ``contract``, ``expectation`` and ``fidelity`` read a
-    batch of one.
+    only, and n + log2 B must fit the cap.  Gates act on every slice.  A
+    ``Generator`` reads out a batch of one; a batch of B is B independent
+    runs, read out with ``rng.CoinRows`` of one row per slice, and each
+    slice takes its own branch on its own coins.  ``prob_one``,
+    ``contract``, ``expectation`` and ``fidelity`` read a batch of one.
     """
 
     def __init__(self, n: int, psi: np.ndarray | None = None, batch: int = 1):
@@ -178,18 +156,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.psi, self.batch)
-
-    def split(self, parts: int) -> list["StateVector"]:
-        """The slices as ``parts`` states of batch / parts slices each, in
-        order (the seeds of a seed-major batch); each owns its amplitudes."""
-        size = self.batch // parts
-        psi = self.psi.reshape(-1, parts, size)
-        out = []
-        for s in range(parts):
-            sv = StateVector.__new__(StateVector)
-            sv.n, sv.batch, sv.psi = self.n, size, psi[:, s].reshape(-1)
-            out.append(sv)
-        return out
 
     def _check_norm(self) -> None:
         """Raise AssertionError unless every slice has norm 1 to 1e-7."""
@@ -270,35 +236,28 @@ class StateVector:
         become the state and qubit q is gone; otherwise q is left in the
         observed eigenstate.  Returns (outcome, deterministic, eigenvector).
 
-        A batch reads its probabilities per slice and takes one branch for
-        all of them, drawing at most one coin; slices that disagree on
-        whether the outcome is random, or on the outcome, raise
-        ``BatchDivergence`` before the state changes.
-
-        ``rng`` may instead be a list of S generators, one per seed: the
-        batch is S equal runs of slices, seed-major, and ``basis`` may give
-        one angle per seed.  Each seed then takes its own branch for its own
-        slices, drawing at most one coin from its own stream, and the
-        outcomes and deterministic flags come back as arrays of S, the
-        eigenvectors as the columns of a 2 x S array.
+        A ``Generator`` reads a batch of one.  A batch of B slices reads with
+        ``CoinRows`` of one row per slice instead, ``basis`` possibly one
+        angle per slice: each slice reads its own probability and takes its
+        own branch, drawing at most one coin from its own row, and the
+        outcomes and deterministic flags come back as arrays of B, the
+        eigenvectors as the columns of a 2 x B array.
         """
         view = self._axis_view(q)
         x0, x1 = view[:, 0, :], view[:, 1, :]
-        batch = self.batch
         single = isinstance(rng, np.random.Generator)
-        if batch > 1 or not single:  # split the batch axis off, to scale each slice alone
-            x0, x1 = (x.reshape(x.shape[0], -1, batch) for x in (x0, x1))
+        if not single:  # split the batch axis off, to scale each slice alone
+            x0, x1 = (x.reshape(x.shape[0], -1, self.batch) for x in (x0, x1))
+        elif self.batch > 1:
+            raise ValueError("a coin generator reads one run; a batch reads a coin row per slice")
         if basis is Basis.Z:
             v_plus, v_minus = KET_ZERO, KET_ONE
             a_minus = x1
         else:
             v_plus, v_minus = _eigvecs(basis)
             c_plus, c_minus = np.conj(v_plus), np.conj(v_minus)
-            if c_minus.ndim > 1:  # one angle per seed: a coefficient per slice
-                c_plus, c_minus = (np.repeat(c, batch // c.shape[1], axis=1)
-                                   for c in (c_plus, c_minus))
             a_minus = c_minus[0] * x0 + c_minus[1] * x1
-        if batch == 1 and single:
+        if single:
             p_minus = _sq_norm(a_minus)
             det = p_minus < ATOL or p_minus > 1 - ATOL
             bit = int(p_minus > 0.5) if det else draw_sign_bit(rng, p_minus)
@@ -307,34 +266,21 @@ class StateVector:
             else:
                 a_plus = x0 if basis is Basis.Z else c_plus[0] * x0 + c_plus[1] * x1
                 amp, vec = a_plus * (1.0 / np.sqrt(1.0 - p_minus)), v_plus
-            result, per_slice = ((-1 if bit else 1), det, vec), vec
+            result = ((-1 if bit else 1), det, vec)
         else:
-            rngs = [rng] if single else rng
-            slices = batch // len(rngs)  # per seed
             p_minus = _sq_norms(a_minus)
-            det, bits = _seed_branches(p_minus.reshape(len(rngs), slices), rngs)
-            # Either branch's probability is at least ATOL, in every slice.
-            if all(bits):
-                amp, p_kept = a_minus, p_minus
-            else:
-                a_plus = x0 if basis is Basis.Z else c_plus[0] * x0 + c_plus[1] * x1
-                if any(bits):
-                    taken = np.repeat(np.array(bits, bool), slices)
-                    amp = np.where(taken, a_minus, a_plus)
-                    p_kept = np.where(taken, p_minus, 1.0 - p_minus)
-                else:
-                    amp, p_kept = a_plus, 1.0 - p_minus
-            amp = amp * (1.0 / np.sqrt(p_kept))
-            outcomes, det, vecs = _seed_readout(det, bits, v_plus, v_minus)
-            result = ((-1 if bits[0] else 1), bool(det[0]), vecs[:, 0]) if single else \
-                (outcomes, det, vecs)
-            per_slice = None if drop else np.repeat(vecs, slices, axis=1)
+            taken, result = _read_runs(p_minus, rng, v_plus, v_minus)
+            # The branch each slice takes has probability at least ATOL.
+            a_plus = x0 if basis is Basis.Z else c_plus[0] * x0 + c_plus[1] * x1
+            amp = np.where(taken, a_minus, a_plus)
+            amp *= 1.0 / np.sqrt(np.where(taken, p_minus, 1.0 - p_minus))
+            vec = result[2]
         if drop:
             self.n -= 1
             self.psi = amp.reshape(-1)
         else:
-            x0[...] = per_slice[0] * amp
-            x1[...] = per_slice[1] * amp
+            x0[...] = vec[0] * amp
+            x1[...] = vec[1] * amp
         return result
 
     def measure(self, q: int, basis: Basis, rng) -> tuple[int, bool]:
@@ -409,18 +355,15 @@ class DenseRegister:
     use.
 
     With ``batch`` = B, ``psi`` holds B states of the labelled qubits (see
-    ``StateVector``) and the register runs all of them at once: each
-    readout takes one branch for every slice, or raises
-    ``BatchDivergence``.  Only the array is batched; the qubits it has not
-    attached are the same in every slice.  ``sv.n`` counts qubits only,
-    but the batch bits count against the dense cap.
-
-    Read with one generator per seed instead (``StateVector._measure``),
-    the batch is S seed-major runs of slices, and each seed takes its own
-    branch: outcomes come back per seed, and a Z readout that reads -1 in
-    some seeds only puts its Z on those seeds' slices.  A detached partner
-    it reaches stays detached, its ket now a 2 x S array of one column per
-    seed, which ``_attach`` spreads over each seed's slices.
+    ``StateVector``), and the register runs them as B independent runs, read
+    out with ``rng.CoinRows`` of one row per slice: each slice takes its own
+    branch, outcomes come back per slice, and a Z readout that reads -1 in
+    some slices only puts its Z on those slices.  Only the array is
+    batched: the qubits it holds depend on the pattern of gates and
+    readouts, never on the outcomes, so every slice holds the same ones.
+    A detached qubit stays detached when such a Z reaches it, its ket now a
+    2 x B array of one column per slice.  ``sv.n`` counts qubits only, but
+    the batch bits count against the dense cap.
     """
 
     def __init__(self, labels=(), psi=None, adjacency=None, batch: int = 1):
@@ -439,19 +382,12 @@ class DenseRegister:
             return
         n = self.sv.n + len(new)
         _check_cap(n, self.sv.batch)
-        kets = [self.single.pop(q, KET_PLUS) for q in new]
-        if all(k.ndim == 1 for k in kets):
-            ket = kets[0]
-            for k in kets[1:]:
-                ket = np.multiply.outer(ket, k).reshape(-1)
-            self.sv.psi = np.multiply.outer(ket, self.sv.psi).reshape(-1)
-        else:  # a ket per seed: one column per seed, spread over its slices
-            batch = self.sv.batch
-            ket = kets[0].reshape(2, -1)
-            for k in kets[1:]:
-                ket = (ket[:, None, :] * k.reshape(2, -1)).reshape(2 * ket.shape[0], -1)
-            ket = np.repeat(ket, batch // ket.shape[1], axis=1)
-            self.sv.psi = (ket[:, None, :] * self.sv.psi.reshape(-1, batch)).reshape(-1)
+        # A ket is one column, or one column per slice.
+        ket = self.single.pop(new[0], KET_PLUS).reshape(2, -1)
+        for q in new[1:]:
+            k = self.single.pop(q, KET_PLUS).reshape(2, -1)
+            ket = (ket[:, None, :] * k).reshape(2 * ket.shape[0], -1)
+        self.sv.psi = (ket[:, None, :] * self.sv.psi.reshape(-1, self.sv.batch)).reshape(-1)
         self.sv.n = n
         self.axes[:0] = new
 
@@ -483,14 +419,13 @@ class DenseRegister:
         else:
             self.single[q] = _GATE_MATS[name] @ self.single.get(q, KET_PLUS)
 
-    def _seed_z(self, q, flip: np.ndarray) -> None:
-        """Z on q in the seeds ``flip`` marks, one flag per seed."""
+    def _slice_z(self, q, flip: np.ndarray) -> None:
+        """Z on q in the slices ``flip`` marks, one flag per slice."""
         if not flip.any():
             return
         if q in self.axes:
-            batch = self.sv.batch
-            sign = np.repeat(np.where(flip, -1.0, 1.0), batch // flip.size)
-            self.sv.psi.reshape(1 << self.axes.index(q), 2, -1, batch)[:, 1] *= sign
+            sign = np.where(flip, -1.0, 1.0)
+            self.sv.psi.reshape(1 << self.axes.index(q), 2, -1, self.sv.batch)[:, 1] *= sign
         else:
             ket = np.array(np.broadcast_to(self.single.get(q, KET_PLUS).reshape(2, -1),
                                            (2, flip.size)))
@@ -499,7 +434,7 @@ class DenseRegister:
 
     def measure(self, q, basis: Basis | float, rng) -> tuple[int, bool]:
         """Read q in a Pauli basis or at an XY angle, leaving it detached;
-        with one generator per seed, per-seed outcomes and flags."""
+        with ``CoinRows``, per-slice outcomes and flags."""
         if basis is not Basis.Z:
             self._flush(q)
         partners = sorted(self.pending.pop(q, ()))  # none left after a flush
@@ -512,7 +447,7 @@ class DenseRegister:
         for p in partners:
             self.pending[p].discard(q)
             if isinstance(outcome, np.ndarray):
-                self._seed_z(p, outcome == -1)
+                self._slice_z(p, outcome == -1)
             elif outcome == -1:
                 self.gate("Z", p)
         return outcome, det

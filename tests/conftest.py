@@ -58,6 +58,13 @@ def random_state_pair(n, depth, rng):
     return t, sv
 
 
+def after_draws(rng, draws: int):
+    """``rng`` once it has drawn ``draws`` coins: the state of a stream that
+    ``draws`` readouts with a random outcome have read."""
+    rng.random(draws)
+    return rng
+
+
 def tableau_graph(t):
     """The graph form of a tableau's state: every qubit kept, by position."""
     return GraphState.adopt(*restricted_stab_graph(t, list(range(t.n))))

@@ -373,6 +373,23 @@ class TestMbqc:
         assert run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf),
                         "--target", "identity", "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("doc", [
+        {"inputs": [0.9], "outputs": [2], "corrections": {},
+         "steps": [{"v": 0.2, "basis": "X"}, {"v": True, "basis": "X"}]},
+        {"inputs": [0], "outputs": [2], "corrections": [],
+         "steps": [{"v": 0, "basis": "X"}, {"v": 1, "basis": "X"}]},
+        {"inputs": [0], "outputs": [2], "corrections": {"2": [1]},
+         "steps": [{"v": 0, "basis": "X"}, {"v": 1, "basis": "X"}]},
+    ])
+    def test_malformed_pattern_file_is_a_config_error(self, tmp_path, capsys, doc):
+        pf = tmp_path / "pattern.json"
+        pf.write_text(json.dumps(doc))
+        rc = run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf),
+                      "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert "config error: malformed pattern document" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_carve_success(self, tmp_path):
         out = tmp_path / "r.json"
         rc = run_cli(["mbqc", "--cluster", "grid:3x3", "--carve", "0:6",

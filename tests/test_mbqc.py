@@ -1,6 +1,7 @@
 """Measurement patterns, adaptive execution, carving, logical verification."""
 
 import itertools
+import json
 import re
 from unittest import mock
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import after_draws
 from sicluster import mbqc, statevec
 from sicluster.graphsim import GraphSimulator
 from sicluster.graphstate import BorrowedAdjacency, GraphState, grid_graph, line_graph
@@ -26,7 +28,7 @@ from sicluster.mbqc import (
     verify_logical,
     wire_pattern,
 )
-from sicluster.rng import substream
+from sicluster.rng import CoinRows, substream
 from sicluster.statevec import DenseRegister, SizeCapError, StateVector, tableau_from_statevector
 from sicluster.tableau import Basis, from_graph_state, same_stabilizer_group
 
@@ -91,9 +93,47 @@ class TestPatternType:
             MeasurementPattern.from_json("{nope")
         with pytest.raises(PatternError):
             MeasurementPattern.from_json('{"inputs": []}')
+        for fix in _BAD_PATTERN_FIXES:
+            doc = json.loads(_WIRE_DOC)
+            fix(doc)
+            with pytest.raises(PatternError, match="malformed pattern document"):
+                MeasurementPattern.from_json(json.dumps(doc))
+
+    def test_json_of_every_builder_loads_to_an_equal_pattern(self):
+        pats = [wire_pattern(5), rotation_chain_pattern(0.3, -0.7, 1.1),
+                carved_wire_pattern(grid_graph(5, 5), 0, 20, {10})[0],
+                MeasurementPattern([0], [2], [MeasurementStep(0, basis="Z"),
+                                              MeasurementStep(1, angle=0.4, t_adapt={0})],
+                                   {2: {"x": frozenset({1}), "z": frozenset()}})]
+        for pat in pats:
+            assert MeasurementPattern.from_json(pat.to_json()) == pat
+
+
+# A 3-vertex wire document, and edits that each leave it malformed: vertex
+# ids that are not integers (booleans and floats included) anywhere a
+# vertex is named, and corrections that are not an object of objects.
+_WIRE_DOC = wire_pattern(3).to_json()
+_BAD_PATTERN_FIXES = [
+    lambda d: d.update(inputs=[0.9]),
+    lambda d: d.update(outputs=[True]),
+    lambda d: d["steps"][0].update(v=0.2),
+    lambda d: d["steps"][1].update(v=True),
+    lambda d: d["steps"][1].update(s=[0.0]),
+    lambda d: d["steps"][1].update(t=["0"]),
+    lambda d: d.update(corrections=[]),
+    lambda d: d.update(corrections={"2": [1]}),
+    lambda d: d.update(corrections={"true": {"x": [1], "z": []}}),
+    lambda d: d.update(corrections={"2": {"x": [True], "z": []}}),
+    lambda d: d.update(corrections={"2": {"x": [1], "z": [0.0]}}),
+]
 
 
 class TestExecution:
+    def test_batched_input_state_is_refused(self):
+        inputs = StateVector(1, np.eye(2, dtype=complex), 2)
+        with pytest.raises(PatternError, match="one input state, not a batch"):
+            execute_pattern(line_graph(3), wire_pattern(3), inputs)
+
     def test_z_measure_all_gives_product_state(self):
         cl = line_graph(4)
         pat = MeasurementPattern([], [3], [MeasurementStep(v, basis="Z")
@@ -631,19 +671,44 @@ def test_batched_check_matches_the_per_input_loop(case):
     assert got.distance == max(got.per_input.values())
 
 
-def _spy_dense_batches(monkeypatch) -> list[int]:
-    """Record the batch size of every dense execution: the input batch,
-    once per coin stream when it is given a list of them."""
+def _spy_dense_batches(monkeypatch, coins: list | None = None) -> list[int]:
+    """Record the batch size of every dense execution, and its coins in
+    ``coins`` if given."""
     batches = []
     run = mbqc._execute_dense
 
     def spy(cluster, pattern, input_state, rng):
-        seeds = 1 if isinstance(rng, np.random.Generator) else len(rng)
-        batches.append(seeds * (1 if input_state is None else input_state.batch))
+        batches.append(1 if input_state is None else input_state.batch)
+        if coins is not None:
+            coins.append(rng)
         return run(cluster, pattern, input_state, rng)
 
     monkeypatch.setattr(mbqc, "_execute_dense", spy)
     return batches
+
+
+def _slice_case(case: str) -> tuple[GraphState, MeasurementPattern]:
+    """A rotation chain, whose XY angles adapt per slice, or the carved wire
+    0-1-2-5-8 on a 3x3 grid, which first reads 3, 4 and 7 in Z: their
+    outcomes put per-slice Zs on the input (in the array) and on detached
+    stragglers, whose per-slice kets are read next."""
+    a, b, c = 0.3, -1.1, 0.7
+    if case == "rotation chain":
+        return line_graph(5), rotation_chain_pattern(a, b, c)
+    cluster = grid_graph(3, 3)
+    pattern, path = carved_wire_pattern(cluster, 0, 8, angles=[0.0, -a, -b, -c])
+    assert path == [0, 1, 2, 5, 8]
+    assert [st.vertex for st in pattern.steps[:3]] == [3, 4, 7]
+    return cluster, pattern
+
+
+def _slice_batch(pattern, seeds) -> tuple[StateVector, CoinRows]:
+    """verify_logical's batch for one input qubit: slice i runs input
+    i // S on the coins of seed i % S."""
+    names, inputs = mbqc._spanning_inputs(1)
+    states = np.repeat(inputs, len(seeds), axis=1)
+    rows = [substream(0, "verify", s).random(len(pattern.steps)) for s in seeds]
+    return StateVector(1, states, states.shape[1]), CoinRows(np.tile(rows, (len(names), 1)))
 
 
 class TestBatchedLogicalCheck:
@@ -658,66 +723,93 @@ class TestBatchedLogicalCheck:
         verify_logical(cluster, pattern, np.diag([1, 1, 1, -1]), seeds=range(2))
         assert batches == [2 * 16]
 
-    def test_divergent_batch_runs_input_by_input(self, monkeypatch):
+    def test_z_read_input_runs_in_one_pass(self, monkeypatch):
+        """Reading the input in Z is deterministic for |0> and |1> and random
+        for |+> and |+i>, so those slices' coin rows fall out of step: one
+        pass still gives the per-input loop's distances."""
         cluster, pattern, target, seeds, _, _ = _z_read_input_case()
-        batches = _spy_dense_batches(monkeypatch)
+        coins = []
+        batches = _spy_dense_batches(monkeypatch, coins)
         rep = verify_logical(cluster, pattern, target, seeds)
-        assert batches == [3 * 4] + [1] * 12
+        assert batches == [4 * 3]
+        assert coins[0].cursor.tolist() == [1] * 6 + [2] * 6
         assert rep.per_input == _reference_verify_logical(cluster, pattern, target, seeds)
 
-    def test_batch_past_the_cap_runs_input_by_input(self, monkeypatch):
-        monkeypatch.setattr(statevec, "MAX_QUBITS", 3)
-        batches = _spy_dense_batches(monkeypatch)
-        rep = verify_logical(line_graph(5), rotation_chain_pattern(0.1, 0.2, 0.3),
-                             rotation_chain_target(0.1, 0.2, 0.3), seeds=range(2))
-        assert rep.distance < 1e-9
-        assert batches == [2 * 4, 4] + [1] * 8
-
-    def test_seed_batch_past_the_cap_runs_one_batch_per_seed(self, monkeypatch):
-        """A cap that refuses the 5-seed batch (2 qubits, 20 slices) but fits
-        one seed's 4 slices runs a batch per seed, not input by input."""
+    def test_batch_past_the_cap_runs_in_chunks(self, monkeypatch):
+        """A cap of 4 refuses 20 slices of 2 qubits, and 10, and 5 (the last
+        when the chain attaches its second qubit): the check runs 10 chunks
+        of 2 slices and gives the per-input loop's distances."""
         monkeypatch.setattr(statevec, "MAX_QUBITS", 4)
         cluster, target = line_graph(5), rotation_chain_target(0.1, 0.2, 0.3)
         pattern = rotation_chain_pattern(0.1, 0.2, 0.3)
         batches = _spy_dense_batches(monkeypatch)
         rep = verify_logical(cluster, pattern, target, seeds=range(5))
-        assert batches == [5 * 4] + [4] * 5
+        assert batches == [5] + [2] * 10
         want = _reference_verify_logical(cluster, pattern, target, range(5))
+        assert list(rep.per_input) == list(want)
         assert all(abs(rep.per_input[name] - d) <= 1e-15 for name, d in want.items())
+
+    def test_cap_that_refuses_one_slice_refuses_as_one_run(self, monkeypatch):
+        monkeypatch.setattr(statevec, "MAX_QUBITS", 1)
+        cluster, pattern = line_graph(5), rotation_chain_pattern(0.1, 0.2, 0.3)
+        with pytest.raises(SizeCapError) as one_run:
+            execute_pattern(cluster, pattern, StateVector(1, [1, 0]),
+                            rng=substream(0, "verify", 0))
+        with pytest.raises(SizeCapError) as check:
+            verify_logical(cluster, pattern, rotation_chain_target(0.1, 0.2, 0.3))
+        assert str(check.value) == str(one_run.value) == "2 qubits exceeds the dense cap of 1"
 
     @pytest.mark.parametrize("case", ["rotation chain", "carved wire"])
     def test_seed_batch_gives_each_seed_its_own_run(self, case):
-        """One pass for 8 seeds gives each seed the outcomes, order, frame,
-        final coin-stream state and output of a batch run on its stream
-        alone.  The rotation chain adapts its XY angles per seed; the carved
-        wire 0-1-2-5-8 on a 3x3 grid first reads 3, 4 and 7 in Z, whose
-        outcomes put per-seed Zs on the input (in the array) and on detached
-        stragglers, and then reads those stragglers' per-seed kets."""
-        a, b, c = 0.3, -1.1, 0.7
-        if case == "rotation chain":
-            cluster, pattern = line_graph(5), rotation_chain_pattern(a, b, c)
-        else:
-            cluster = grid_graph(3, 3)
-            pattern, path = carved_wire_pattern(cluster, 0, 8, angles=[0.0, -a, -b, -c])
-            assert path == [0, 1, 2, 5, 8]
-            assert [st.vertex for st in pattern.steps[:3]] == [3, 4, 7]
-        names, inputs = mbqc._spanning_inputs(1)
-        batch = StateVector(1, inputs, len(names))
+        """One pass over 4 inputs and 8 seeds gives each slice the outcomes,
+        order, frame, coin draws and output of a run on its input alone, on
+        a fresh substream of its seed."""
+        cluster, pattern = _slice_case(case)
         seeds = range(8)
-        coins = [substream(0, "verify", s) for s in seeds]
+        batch, coins = _slice_batch(pattern, seeds)
         got = mbqc._execute_dense(cluster, pattern, batch, coins)
-        assert len(got) == len(seeds)
-        for s, res, rng in zip(seeds, got, coins):
-            ref_rng = substream(0, "verify", s)
-            want = mbqc._execute_dense(cluster, pattern, batch, ref_rng)
-            assert res.outcomes == want.outcomes and res.order == want.order
-            assert res.frame == want.frame
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            assert res.output_state.batch == want.output_state.batch == len(names)
-            assert np.allclose(res.output_state.psi, want.output_state.psi, atol=1e-14)
-        # The seeds took both branches at these readouts (on the wire, at its Z cuts too).
+        assert got.frame is None and got.output_state.batch == batch.batch == 4 * 8
+        outputs = got.output_state.psi.reshape(-1, batch.batch)
+        for i in range(batch.batch):
+            ref_rng = substream(0, "verify", i % 8)
+            want = mbqc._execute_dense(cluster, pattern, StateVector(1, batch.psi[i::batch.batch]),
+                                       ref_rng)
+            outcomes = {v: int(o[i]) for v, o in got.outcomes.items()}
+            assert outcomes == want.outcomes and got.order == want.order
+            assert mbqc._frame_from_corrections(pattern, outcomes) == want.frame
+            fresh = after_draws(substream(0, "verify", i % 8), coins.cursor[i])
+            assert fresh.bit_generator.state == ref_rng.bit_generator.state
+            assert want.output_state.batch == 1
+            assert np.allclose(outputs[:, i], want.output_state.psi, atol=1e-14)
+        # The slices took both branches at these readouts (on the wire, at its Z cuts too).
         for v in ([1, 2, 3] if case == "rotation chain" else [3, 4, 7, 1]):
-            assert len({res.outcomes[v] for res in got}) == 2, v
+            assert set(got.outcomes[v].tolist()) == {1, -1}, v
+
+    @pytest.mark.parametrize("case", ["rotation chain", "carved wire"])
+    def test_array_holds_the_same_qubits_whatever_the_outcomes(self, case, monkeypatch):
+        """The qubits the dense array holds after each readout are those of
+        every single run, so all the slices of a batch fit one array: a Z
+        byproduct never attaches a qubit."""
+        cluster, pattern = _slice_case(case)
+        held = []
+        measure = DenseRegister.measure
+
+        def spy(reg, q, basis, rng):
+            out = measure(reg, q, basis, rng)
+            held[-1].append(list(reg.axes))
+            return out
+
+        monkeypatch.setattr(DenseRegister, "measure", spy)
+        batch, coins = _slice_batch(pattern, range(8))
+        held.append([])
+        mbqc._execute_dense(cluster, pattern, batch, coins)
+        for i in range(batch.batch):
+            held.append([])
+            mbqc._execute_dense(cluster, pattern, StateVector(1, batch.psi[i::batch.batch]),
+                                substream(0, "verify", i % 8))
+        assert all(trace == held[0] for trace in held[1:])
+        # One qubit after each readout: on the wire, the input alone through the Z cuts.
+        assert [len(axes) for axes in held[0]] == [1] * len(pattern.steps)
 
     def test_refused_carve_still_names_its_straggler(self):
         cluster, pattern, target, seeds, _, _ = _refused_carve_case()

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EIGENSTATES, random_state_pair
+from conftest import EIGENSTATES, after_draws, random_state_pair
 from sicluster import statevec
 from sicluster.statevec import (
     KET_ONE,
     KET_PLUS,
     KET_ZERO,
     MAT_H,
-    BatchDivergence,
     DenseRegister,
     MAX_QUBITS,
     SizeCapError,
@@ -28,6 +27,7 @@ from sicluster.statevec import (
     tableau_to_statevector,
 )
 from sicluster.graphstate import GraphState
+from sicluster.rng import CoinRows
 from sicluster.tableau import (
     Basis,
     PauliString,
@@ -409,7 +409,8 @@ class TestSupportBasis:
 
 
 class TestBatchedReadout:
-    """A batch of states reads out each slice as it would alone, on one coin."""
+    """A batch of states reads out each slice as it would alone, each on its
+    own row of coins."""
 
     @pytest.mark.parametrize("basis", _READOUTS, ids=str)
     @pytest.mark.parametrize("drop", [False, True])
@@ -418,18 +419,45 @@ class TestBatchedReadout:
         for seed in range(10):
             n = int(rng.integers(1, 6))
             q = int(rng.integers(n))
-            base = _random_dense(n, rng).psi
-            # Slices that differ by a global phase read out alike.
-            psi = np.stack([base * np.exp(1j * k) for k in range(3)], axis=1)
-            batch, coins = StateVector(n, psi, 3), np.random.default_rng(seed)
-            got = batch._measure(q, basis, coins, drop)
+            # Two random states and an eigenstate on q, of either outcome.
+            rest = _random_dense(n - 1, rng).psi.reshape([2] * (n - 1))
+            eigen = np.moveaxis(np.multiply.outer(_eigvec(basis, 1 - 2 * (seed % 2)), rest), 0, q)
+            psi = np.stack([_random_dense(n, rng).psi, eigen.reshape(-1),
+                            _random_dense(n, rng).psi], axis=1)
+            batch = StateVector(n, psi, 3)
+            coins = CoinRows([np.random.default_rng([seed, k]).random(2) for k in range(3)])
+            outcomes, det, vecs = batch._measure(q, basis, coins, drop)
             assert batch.n == n - drop and batch.psi.size == 3 << batch.n
+            assert det.tolist() == [False, True, False]
             for k in range(3):
-                one, ref_coins = StateVector(n, psi[:, k]), np.random.default_rng(seed)
+                one, ref_coins = StateVector(n, psi[:, k]), np.random.default_rng([seed, k])
                 want = one._measure(q, basis, ref_coins, drop)
-                assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
-                assert coins.bit_generator.state == ref_coins.bit_generator.state
+                assert (outcomes[k], det[k]) == want[:2] and np.array_equal(vecs[:, k], want[2])
+                drawn = after_draws(np.random.default_rng([seed, k]), coins.cursor[k])
+                assert drawn.bit_generator.state == ref_coins.bit_generator.state
                 assert np.allclose(batch.psi.reshape(-1, 3)[:, k], one.psi, atol=1e-14)
+
+    @pytest.mark.parametrize("basis, kets, outcomes, draws", [
+        (Basis.Z, [KET_ZERO, KET_ONE], [1, -1], [0, 0]),  # opposite deterministic outcomes
+        (Basis.X, [KET_PLUS, KET_ZERO], [1, 1], [0, 1]),  # deterministic against random
+        (Basis.Z, [[0.8 ** 0.5, 0.2 ** 0.5], [0.2 ** 0.5, 0.8 ** 0.5]], [1, -1], [1, 1]),
+    ])
+    def test_divergent_slices_each_take_their_own_branch(self, basis, kets, outcomes, draws):
+        """Both slices' rows start with the coin 0.51 (the first of seed 1),
+        which reads +1 at p(-1) = 0.2 and -1 at 0.8; each slice advances its
+        own cursor only when its outcome is random."""
+        psi = np.array(kets, complex).T
+        sv = StateVector(1, psi, 2)
+        coins = CoinRows(np.tile(np.random.default_rng(1).random(1), (2, 1)))
+        got, det, vecs = sv.measure_out(0, basis, coins)
+        assert got.tolist() == outcomes and coins.cursor.tolist() == draws
+        for k in range(2):
+            one, ref = StateVector(1, psi[:, k]), np.random.default_rng(1)
+            want = one.measure_out(0, basis, ref)
+            assert (got[k], det[k]) == want[:2] and np.array_equal(vecs[:, k], want[2])
+            drawn = after_draws(np.random.default_rng(1), draws[k])
+            assert drawn.bit_generator.state == ref.bit_generator.state
+            assert np.allclose(sv.psi[k], one.psi[0], atol=1e-15)
 
     @pytest.mark.parametrize("basis, kets, coins_drawn", [
         (Basis.Z, [KET_ZERO, KET_ONE], 0),  # opposite deterministic outcomes
@@ -437,14 +465,26 @@ class TestBatchedReadout:
         (Basis.Z, [[0.8 ** 0.5, 0.2 ** 0.5], [0.2 ** 0.5, 0.8 ** 0.5]], 1),  # coin 0.51
     ])
     def test_divergent_slices_leave_the_state_alone(self, basis, kets, coins_drawn):
+        """One coin generator cannot serve slices that branch apart: the batch
+        refuses it before it reads or draws anything, so the state and the
+        generator are as they were, and the first slice alone then reads on
+        that generator as on a fresh one, drawing ``coins_drawn`` coins."""
         psi = np.array(kets, complex).T
         sv, rng = StateVector(1, psi, 2), np.random.default_rng(1)
-        with pytest.raises(BatchDivergence):
+        with pytest.raises(ValueError, match="coin row per slice"):
             sv.measure_out(0, basis, rng)
         assert sv.n == 1 and np.array_equal(sv.psi, psi.reshape(-1))
-        ref = np.random.default_rng(1)
-        ref.random(coins_drawn)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+        got = StateVector(1, psi[:, 0]).measure_out(0, basis, rng)
+        want = StateVector(1, psi[:, 0]).measure_out(0, basis, np.random.default_rng(1))
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+        assert rng.bit_generator.state == after_draws(np.random.default_rng(1),
+                                                      coins_drawn).bit_generator.state
+
+    def test_a_generator_reads_one_run(self):
+        sv = StateVector(1, np.tile(KET_PLUS[:, None], (1, 2)), 2)
+        with pytest.raises(ValueError, match="coin row per slice"):
+            sv.measure(0, Basis.X, np.random.default_rng(0))
 
     def test_batch_bits_count_against_the_cap(self, monkeypatch):
         monkeypatch.setattr(statevec, "MAX_QUBITS", 4)
@@ -454,7 +494,7 @@ class TestBatchedReadout:
         reg = DenseRegister([0, 1], np.full((4, 4), 0.5), batch=4)
         reg.cz(1, 2)
         with pytest.raises(SizeCapError, match="3 qubits in a batch of 4 exceed"):
-            reg.measure(1, Basis.X, np.random.default_rng(0))
+            reg.measure(1, Basis.X, CoinRows(np.zeros((4, 1))))
         assert reg.sv.n == 2
 
 
@@ -489,23 +529,28 @@ class TestDetachedReadout:
         assert outcomes == {(1, True), (-1, True), (1, False), (-1, False)}
 
     def test_per_seed_read_matches_each_seed_alone(self):
-        """A ket per seed, read in Z or at an angle per seed, gives each seed
-        the outcome, flag, eigenvector and coin draw of its own read."""
+        """A ket per slice, or one ket for every slice, read in Z or at an
+        angle per slice, gives each slice the outcome, flag, eigenvector and
+        coin draws of its own read on its own seed's coins."""
         rng = np.random.default_rng(32)
-        seeds = 5
+        runs = 5
         for trial in range(40):
-            kets = np.stack([_random_dense(1, rng).psi for _ in range(seeds)], axis=1)
-            kets[:, 0] = KET_ONE  # one deterministic seed
-            angles = rng.uniform(-np.pi, np.pi, seeds)
-            for basis, each in ((Basis.Z, [Basis.Z] * seeds), (angles, angles.tolist())):
-                coins = [np.random.default_rng([trial, s]) for s in range(seeds)]
-                outcome, det, vecs = statevec._read_ket(kets, basis, coins)
-                for s in range(seeds):
+            kets = np.stack([_random_dense(1, rng).psi for _ in range(runs)], axis=1)
+            kets[:, 0] = KET_ONE  # one deterministic slice
+            angles = rng.uniform(-np.pi, np.pi, runs)
+            for ket, basis in ((kets, Basis.Z), (kets, angles), (KET_PLUS, angles)):
+                each = [Basis.Z] * runs if basis is Basis.Z else basis.tolist()
+                coins = CoinRows([np.random.default_rng([trial, s]).random(1)
+                                  for s in range(runs)])
+                outcome, det, vecs = statevec._read_ket(ket, basis, coins)
+                for s in range(runs):
                     ref = np.random.default_rng([trial, s])
-                    want = statevec._read_ket(kets[:, s].copy(), each[s], ref)
+                    alone = ket.copy() if ket.ndim == 1 else ket[:, s].copy()
+                    want = statevec._read_ket(alone, each[s], ref)
                     assert (outcome[s], det[s]) == want[:2]
                     assert np.array_equal(vecs[:, s], want[2])
-                    assert coins[s].bit_generator.state == ref.bit_generator.state
+                    drawn = after_draws(np.random.default_rng([trial, s]), coins.cursor[s])
+                    assert drawn.bit_generator.state == ref.bit_generator.state
 
 
 class TestSvRun:
