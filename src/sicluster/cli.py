@@ -283,8 +283,9 @@ def cmd_build_cluster(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         fmts = ["dot", "json"] if args.format == "both" else [args.format]
+        walk = result.graph.sorted_walk()
         for fmt in fmts:
-            (out_dir / f"cluster.{fmt}").write_bytes(graphstate.export(result.graph, fmt))
+            (out_dir / f"cluster.{fmt}").write_bytes(graphstate.export(result.graph, fmt, walk))
         (out_dir / "report.json").write_text(_dump_json(report))
         sys.stdout.write(f"wrote {out_dir}/cluster.{{{','.join(fmts)}}} and report.json "
                          f"({result.graph.n} vertices, {result.graph.edge_count()} edges)\n")

@@ -13,8 +13,8 @@ and one vertex operator (VOP) ``U_v`` per qubit and updates both in place:
   partner); an endpoint no complementation reaches is Z-correlated with its
   partner or in a Z eigenstate, and the CZ reduces to a Z on the partner;
 * a Pauli measurement applies the rewrite rules of
-  :meth:`GraphState.measure_pauli_inplace`, and the measured qubit stays as
-  an isolated eigenstate.
+  :meth:`GraphState.measure_pauli_inplace` without deleting the qubit, which
+  stays as an isolated eigenstate.
 
 A VOP is an element of :mod:`sicluster.cliffords`, so composing two,
 conjugating a Pauli and inverting are table lookups; a qubit missing from
@@ -189,11 +189,9 @@ class GraphSimulator(GraphState):
         if eff_axis == _X and not self._adj[q]:
             return (1 if eff_sign == 0 else -1), True
         outcome = -1 if draw_sign_bit(rng, 0.5) else 1
-        self.measure_pauli_inplace(q, basis, outcome)
-        self._adj[q] = set()
-        el = _EIGEN_VOP[(axis, outcome)]
-        if el is not IDENTITY:
-            self.vertex_ops[q] = el
+        self._measure_isolating(q, eff_axis, outcome if eff_sign == 0 else -outcome)
+        self.vertex_ops.pop(q, None)  # q's operator becomes the eigenstate's
+        self._compose_op(q, _EIGEN_VOP[(axis, outcome)])
         return outcome, False
 
     def take_restricted_graph(self, keep: list[int]) -> tuple[dict, dict]:
@@ -211,28 +209,27 @@ class GraphSimulator(GraphState):
         never held in full together, and the engine is left empty.  The
         fallback reduction leaves the engine as it was.
         """
-        pos = self._positions(keep)
+        kept = self._kept_adjacency(keep)
         if not self._preserves_z(keep):
-            return self._fallback_reduction(keep, pos)
-        # A dict keeps its table when entries are deleted, so both are
-        # rebuilt over the kept qubits; the old ones go before the read-off.
+            return self._fallback_reduction(keep)
+        # A dict keeps its table when entries are deleted, so both are rebuilt
+        # over the kept qubits; the old ones go before the positions are made.
         vops = self.vertex_ops
-        self._adj = {v: self._adj[v] for v in pos}
-        self.vertex_ops = {v: vops[v] for v in pos if v in vops}
-        del vops
-        return self._read_off(pos)
+        self._adj = kept
+        self.vertex_ops = {v: vops[v] for v in kept if v in vops}
+        del vops, kept
+        return self._read_off({v: i for i, v in enumerate(keep)})
 
-    def _positions(self, keep) -> dict[int, int]:
-        """Each kept qubit's position, after refusing a kept qubit that is
-        entangled with a dropped one."""
-        pos = {v: i for i, v in enumerate(keep)}
-        for v in keep:
-            for u in self._adj[v]:
-                if u not in pos:
-                    raise ValueError(
-                        f"cannot restrict to {len(keep)} qubits: kept qubit {v} "
-                        f"is entangled with dropped qubit {u}")
-        return pos
+    def _kept_adjacency(self, keep) -> dict[int, set[int]]:
+        """The kept qubits' neighbour sets, after refusing a kept qubit that
+        is entangled with a dropped one."""
+        kept = {v: self._adj[v] for v in keep}
+        for v, nbrs in kept.items():
+            if not kept.keys() >= nbrs:
+                raise ValueError(
+                    f"cannot restrict to {len(keep)} qubits: kept qubit {v} is "
+                    f"entangled with dropped qubit {min(nbrs - kept.keys())}")
+        return kept
 
     def _preserves_z(self, keep) -> bool:
         vops = self.vertex_ops
@@ -244,24 +241,24 @@ class GraphSimulator(GraphState):
         and the graph is read off per vertex, popping each adjacency set
         from the engine as it goes."""
         vops = self.vertex_ops
+        zflip = {v for v, op in vops.items() if op.z_sign}
         adj, out_ops = {}, {}
         for v, i in pos.items():
             nbrs = self._adj.pop(v)
-            adj[i] = {pos[u] for u in nbrs}
+            adj[i] = set(map(pos.__getitem__, nbrs))
             op = vops.get(v, IDENTITY)
             s = op.x_axis == _Y
-            z = op.x_sign ^ s
-            for u in nbrs:
-                z ^= vops.get(u, IDENTITY).z_sign
+            z = op.x_sign ^ s ^ len(nbrs & zflip) & 1
             el = REDUCTION_OPS[(False, s, bool(z))]
             if el is not None:
                 out_ops[i] = el
         return adj, out_ops
 
-    def _fallback_reduction(self, keep, pos) -> tuple[dict, dict]:
+    def _fallback_reduction(self, keep) -> tuple[dict, dict]:
         if 2 * len(keep) ** 2 + len(keep) > MAX_TABLEAU_BYTES:  # two (k, k) blocks, k signs
             raise SizeCapError(f"a {len(keep)}-qubit graph reduction exceeds the "
                                f"{MAX_TABLEAU_BYTES / 2**30:.0f} GiB tableau cap")
+        pos = {v: i for i, v in enumerate(keep)}
         ops = [self.op(v) for v in keep]
         return graph_from_stab_matrix(*self._generators(keep, pos, ops))
 

@@ -5,13 +5,14 @@ plus a per-vertex local Clifford ("vertex operator"); with all vertex
 operators equal to the identity the represented state is
 ``prod_{(u,v) in E} CZ_uv |+>^n``.  The public operations are functional
 (they return a new instance) and purely combinatorial; each rewrite is a
-copy followed by its ``*_inplace`` form, which the graph-state engine in
-``sicluster.graphsim`` calls directly.  Measurement outcomes are inputs,
+copy followed by its ``*_inplace`` form, whose core the graph-state engine
+in ``sicluster.graphsim`` calls directly.  Measurement outcomes are inputs,
 drawn by the caller from a backend or a fair coin, which keeps this module
 deterministic.
 
-Adjacency is stored as sorted sets per vertex rather than a literal bit
-matrix so that vertex deletion stays cheap at 10^4-vertex protocol scale.
+Adjacency is stored as an unordered set of neighbours per vertex rather
+than a bit matrix, so that edge toggles and vertex deletion stay cheap at
+10^4-vertex protocol scale.
 """
 
 from __future__ import annotations
@@ -150,15 +151,17 @@ class GraphState:
     def vertices(self) -> list[int]:
         return sorted(self._adj)
 
-    def _upper_walk(self):
-        """Each vertex in ascending order with its higher neighbours, sorted;
-        read in turn, the (vertex, neighbour) pairs are the sorted edges."""
+    def sorted_walk(self) -> tuple[list[int], list[int], list[int]]:
+        """The vertices in ascending order, how many higher neighbours each
+        has, and those neighbours, each vertex's sorted, in one list; read in
+        turn, the (vertex, neighbour) pairs are the sorted edges."""
         adj = self._adj
-        for v in sorted(adj):
-            yield v, sorted([u for u in adj[v] if u > v])
+        verts = sorted(adj)
+        uppers = [sorted([u for u in adj[v] if u > v]) for v in verts]
+        return verts, list(map(len, uppers)), list(itertools.chain.from_iterable(uppers))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(v, u) for v, upper in self._upper_walk() for u in upper]
+        return list(_walk_pairs(self.sorted_walk()))
 
     def edge_count(self) -> int:
         return sum(map(len, self._adj.values())) // 2
@@ -270,25 +273,29 @@ class GraphState:
             raise KeyError(f"unknown vertex {v}")
         if outcome not in (1, -1):
             raise ValueError("outcome must be +1 or -1")
-        name = _basis_name(basis)
-        adj = self._adj
-        u_v = self.vertex_ops.get(v, IDENTITY)
-        eff_axis, eff_sign = u_v.inverse().conj_pauli(_AXIS_OF[name], 0)
-        m_eff = outcome if eff_sign == 0 else -outcome
-        nbrs = sorted(adj[v])
+        axis = _AXIS_OF[_basis_name(basis)]
+        eff_axis, eff_sign = self.vertex_ops.get(v, IDENTITY).inverse().conj_pauli(axis)
+        fixes = self._measure_isolating(v, eff_axis, outcome if eff_sign == 0 else -outcome)
+        del self._adj[v]
+        self.vertex_ops.pop(v, None)
+        return [(u, c) for c, us in fixes for u in sorted(us)]
 
-        corrections: list[tuple[int, Clifford1]] = []
+    def _measure_isolating(self, v: int, eff_axis: int, m_eff: int) -> list:
+        """Measure v with outcome ``m_eff`` on ``eff_axis``, the measured axis
+        seen through v's operator; v is left isolated, its operator as it
+        was.  Returns the byproducts as (Clifford1, vertices) groups."""
+        adj = self._adj
+        nbrs = adj[v]
         if eff_axis == 2:  # Z
-            if m_eff == -1:
-                corrections = [(u, cliffords.Z) for u in nbrs]
+            fixes = [(cliffords.Z, nbrs)] if m_eff == -1 else []
         elif eff_axis == 1:  # Y
             _complement_adj(adj, v)
-            fix = cliffords.SQRT_MINUS_IZ if m_eff == 1 else cliffords.SQRT_PLUS_IZ
-            corrections = [(u, fix) for u in nbrs]
+            fixes = [(cliffords.SQRT_MINUS_IZ if m_eff == 1 else cliffords.SQRT_PLUS_IZ, nbrs)]
         elif not nbrs:  # X on an isolated vertex
             if m_eff != 1:
                 raise ValueError(
                     "X measurement of an isolated vertex is deterministically +1")
+            return []
         else:  # X: any neighbour is a valid swap partner; the one of least
             # degree keeps the three local complementations cheap.
             b0 = min(nbrs, key=lambda u: (len(adj[u]), u))
@@ -298,16 +305,17 @@ class GraphState:
             _complement_adj(adj, v)
             _complement_adj(adj, b0)
             if m_eff == 1:
-                corrections = [(b0, cliffords.SQRT_PLUS_IY)]
-                corrections += [(u, cliffords.Z) for u in sorted(nv - nb0 - {b0})]
+                fixes = [(cliffords.SQRT_PLUS_IY, (b0,)), (cliffords.Z, nv - nb0 - {b0})]
             else:
-                corrections = [(b0, cliffords.SQRT_MINUS_IY)]
-                corrections += [(u, cliffords.Z) for u in sorted(nb0 - nv - {v})]
-        del_vertex(adj, v)
-        self.vertex_ops.pop(v, None)
-        for u, c in corrections:
-            self._compose_op(u, c)
-        return corrections
+                fixes = [(cliffords.SQRT_MINUS_IY, (b0,)), (cliffords.Z, nb0 - nv - {v})]
+            nbrs = adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+        adj[v] = set()
+        for c, us in fixes:
+            for u in us:
+                self._compose_op(u, c)
+        return fixes
 
     def equal_up_to_local_cliffords(self, other: "GraphState", max_orbit: int = 500_000):
         """Decide LC equivalence of the two adjacencies by orbit search.
@@ -361,30 +369,46 @@ _FORMATS = {
     "json": (b'{"id": %d,"op": %s},', b"[%d,%d],",
              {el: json.dumps(el.name).encode() for el in cliffords.ELEMENTS}),
 }
+# Entries per % call in export: few enough that the argument tuple stays small.
+_CHUNK = 4096
 
 
-def export(g: GraphState, fmt: str) -> bytes:
+def export(g: GraphState, fmt: str, walk=None) -> bytes:
     """Serialize a graph state; fmt is "dot" or "json".
 
-    One ascending walk over the vertices writes each vertex's entry and its
-    edges to higher neighbours, in sorted order, so the edges come out sorted
-    without an edge list.  The JSON is ``json.dumps`` of ``{"vertices":
-    [{"id": v, "op": name}, ...], "edges": [[u, v], ...]}`` with
-    ``sort_keys=True`` and ``separators=(",", ": ")``, plus a newline.
+    ``walk`` is ``g.sorted_walk()``, which a caller writing both formats
+    takes once; its (vertex, neighbour) pairs are the sorted edges.  The
+    JSON is ``json.dumps`` of ``{"vertices": [{"id": v, "op": name}, ...],
+    "edges": [[u, v], ...]}`` with ``sort_keys=True`` and ``separators=(",",
+    ": ")``, plus a newline.
     """
     fmt = fmt.lower()
     if fmt not in _FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     vertex_entry, edge_entry, names = _FORMATS[fmt]
-    nodes, links = bytearray(), bytearray()
-    for v, upper in g._upper_walk():
-        nodes += vertex_entry % (v, names[g.op(v)])
-        for u in upper:
-            links += edge_entry % (v, u)
+    walk = g.sorted_walk() if walk is None else walk
+    verts, uppers = walk[0], walk[2]
+    ops = map(names.__getitem__, map(g.vertex_ops.get, verts, itertools.repeat(IDENTITY)))
+    nodes = _entries(vertex_entry, zip(verts, ops), len(verts))
+    links = _entries(edge_entry, _walk_pairs(walk), len(uppers))
     if fmt == "dot":
-        return b"".join([b"graph cluster {\n", nodes, links, b"}\n"])
-    del nodes[-1:], links[-1:]
-    return b"".join([b'{"edges": [', links, b'],"vertices": [', nodes, b"]}\n"])
+        return b"".join([b"graph cluster {\n", *nodes, *links, b"}\n"])
+    for chunks in (nodes, links):
+        chunks[-1:] = [last[:-1] for last in chunks[-1:]]
+    return b"".join([b'{"edges": [', *links, b'],"vertices": [', *nodes, b"]}\n"])
+
+
+def _walk_pairs(walk):
+    """The (vertex, neighbour) pairs of a :meth:`GraphState.sorted_walk`."""
+    verts, counts, uppers = walk
+    return zip(itertools.chain.from_iterable(map(itertools.repeat, verts, counts)), uppers)
+
+
+def _entries(entry: bytes, pairs, n: int) -> list[bytes]:
+    """``entry % pair`` for each of the n pairs, one % call per _CHUNK pairs."""
+    args = itertools.chain.from_iterable(pairs)
+    return [(entry * k) % tuple(itertools.islice(args, 2 * k))
+            for k in (min(_CHUNK, n - start) for start in range(0, n, _CHUNK))]
 
 
 def graph_from_json(text: str) -> GraphState:
@@ -411,21 +435,13 @@ def graph_from_json(text: str) -> GraphState:
 
 
 def _complement_adj(adj: dict[int, set[int]], v: int) -> None:
-    nbrs = sorted(adj[v])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b in adj[a]:
-                adj[a].discard(b)
-                adj[b].discard(a)
-            else:
-                adj[a].add(b)
-                adj[b].add(a)
-
-
-def del_vertex(adj: dict[int, set[int]], v: int) -> None:
-    for u in adj[v]:
-        adj[u].discard(v)
-    del adj[v]
+    """Toggle every edge between two neighbours of v: each neighbour's set
+    takes the symmetric difference with v's, less itself."""
+    nbrs = adj[v]
+    for a in nbrs:
+        na = adj[a]
+        na ^= nbrs
+        na.discard(a)
 
 
 def _edges_to_adj(verts, edges):

@@ -39,6 +39,8 @@ CASES = {
     "standard": (None, ["--size", "20x20", "--protocol", "standard", "--seed", "5"]),
     "noisy-square": (_NOISY_SQUARE, ["--with-noise"]),
     "sigma-x": (_SIGMA_X, []),
+    "standard-100x100": (None, ["--size", "100x100", "--protocol", "standard", "--seed", "5"]),
+    "square-100x100": (None, ["--size", "100x100", "--protocol", "square", "--seed", "5"]),
 }
 
 PINNED = {
@@ -56,6 +58,18 @@ PINNED = {
         "cluster.json": "092ab5d7ee3d48cef57740a701dfa94bf2240761f82aed6acf52818cd5b7e738",
         "cluster.dot": "98b2050de281d11080fda2532ba22b6f4855c636a63a815d2376a53123919f88",
         "report.json": "a56753b5bdd82374d8691ba927d8d1417c6e0b12b5aa548e04b25f5b147a16b5",
+    },
+    # Lattice scale, taken before the readout, the read-off and the export
+    # dropped their repeated per-element work.
+    "standard-100x100": {
+        "cluster.json": "adc3d3c36745c9186013900af2bee4aa740c447857b4f4e2d819e6cd3d4e432f",
+        "cluster.dot": "f4e7e701dacb203a22564c1f467b60092154e715a4a16b9c860c1dc77197810e",
+        "report.json": "1c76bd02508979d2ded6753fbfa73a3949a787e0aea9de8e5dacf6e540c03127",
+    },
+    "square-100x100": {
+        "cluster.json": "e27598dbdad53431f48ee3fcb044f97b35e8991246f362a95f38bc433e0392b4",
+        "cluster.dot": "f5cd23f5ac30ace117773744f161a50c7e9cb5d601438e2aa1985d6133d81ed1",
+        "report.json": "f6d5bc132b118bc87e37f9a2659c144c906f9919dbb7ba691e5432126de2112d",
     },
 }
 

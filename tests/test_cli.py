@@ -373,6 +373,16 @@ class TestMbqc:
         assert run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf),
                         "--target", "identity", "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("angle", ["true", "false"])
+    def test_boolean_angle_in_pattern_file_is_a_config_error(self, tmp_path, capsys, angle):
+        pf = tmp_path / "pattern.json"
+        pf.write_text('{"inputs": [0], "outputs": [2], "corrections": {}, "steps": '
+                      f'[{{"v": 0, "angle": {angle}}}, {{"v": 1, "basis": "X"}}]}}')
+        assert run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf),
+                        "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+        assert "angle must be a finite number, not a boolean" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("doc", [
         {"inputs": [0.9], "outputs": [2], "corrections": {},
          "steps": [{"v": 0.2, "basis": "X"}, {"v": True, "basis": "X"}]},

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import tableau_graph
+from conftest import random_graph, tableau_graph
 from sicluster import cliffords
-from sicluster.graphsim import _ZP_MOVES, GraphSimulator
+from sicluster.graphsim import _EIGEN_VOP, _ZP_MOVES, GraphSimulator
 from sicluster.graphstate import GraphState
 from sicluster.tableau import (
     MAX_TABLEAU_BYTES,
@@ -244,6 +244,59 @@ def test_taken_restriction_refuses_before_removing_anything():
     with pytest.raises(SizeCapError, match="32768-qubit graph reduction"):
         sim.take_restricted_graph(list(range(32_768)))
     assert len(sim._adj) == 32_768
+
+
+class ForcedCoin:
+    """A coin source whose every draw is ``value``: below 0.5 reads -1."""
+
+    def __init__(self, value: float):
+        self.value, self.draws = value, 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_readout_rewrites_as_measure_pauli(seed):
+    # On random graphs with random VOPs, the engine's readout with a forced
+    # coin leaves the graph and the other VOPs of GraphState.measure_pauli,
+    # with the measured qubit isolated and carrying the eigenstate's VOP.
+    # A refused restriction then leaves the engine as it was.
+    rng = np.random.default_rng(2600 + seed)
+    refused = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        g = random_graph(n, rng, with_ops=True)
+        before = g.copy()
+        v = int(rng.integers(n))
+        for basis in BASES:
+            for outcome in (1, -1):
+                sim = GraphSimulator.from_graph(g)
+                coin = ForcedCoin(0.25 if outcome == -1 else 0.75)
+                got, det = sim.measure(v, basis, coin)
+                assert coin.draws == (0 if det else 1)
+                if got != outcome:
+                    assert det
+                    with pytest.raises(ValueError, match="deterministically"):
+                        g.measure_pauli(v, basis.value, outcome)
+                    continue
+                want, _ = g.measure_pauli(v, basis.value, outcome)
+                assert sim.degree(v) == 0
+                assert {u: s for u, s in sim._adj.items() if u != v} == want._adj
+                assert {u: op for u, op in sim.vertex_ops.items() if u != v} == want.vertex_ops
+                if not det:
+                    assert sim.op(v) is _EIGEN_VOP[("XYZ".index(basis.value), outcome)]
+                edge = next(((a, b) for a in sorted(sim._adj) for b in sorted(sim._adj[a])), None)
+                if edge is not None:
+                    state = engine_state(sim)
+                    keep = [u for u in range(n) if u != edge[1]]
+                    with pytest.raises(ValueError, match=f"dropped qubit {edge[1]}"):
+                        sim.take_restricted_graph(keep)
+                    assert engine_state(sim) == state
+                    refused += 1
+        assert g == before
+    assert refused > 100
 
 
 def test_bad_arguments():

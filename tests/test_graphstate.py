@@ -343,6 +343,27 @@ class TestExport:
             assert g.edges() == sorted(g.edges()) == sorted(
                 tuple(sorted(e)) for e in g.edge_set())
 
+    def test_matches_reference_for_ids_past_64_bits(self):
+        # Ids below -2**63, above 2**63 and far apart, and more vertices and
+        # edges than one formatting chunk holds; a walk taken once serves
+        # both formats.
+        rng = np.random.default_rng(42)
+        ids = [-(2**63) - 1, -(3 * 2**64), 2**63, 2**63 + 1, -(10**30), 10**30, 2**200, 0, -1]
+        ids += [int(x) * 2**40 - 2**62 for x in rng.choice(10**6, 9000, replace=False)]
+        order = [ids[int(i)] for i in rng.permutation(len(ids))]
+        edges = list(zip(order, order[1:]))
+        edges += [(a, ids[int(rng.integers(9, len(ids)))]) for a in ids[:9]]
+        g = GraphState(ids, edges)
+        for v in ids:
+            if rng.random() < 0.6:
+                g.vertex_ops[v] = cliffords.ELEMENTS[int(rng.integers(1, 24))]
+        walk = g.sorted_walk()
+        for fmt in ("json", "dot"):
+            want = self._reference(g, fmt)
+            assert export(g, fmt) == want
+            assert export(g, fmt, walk) == want
+        assert graph_from_json(export(g, "json", walk).decode()) == g
+
     def test_every_vertex_operator_name(self):
         g = GraphState(range(24), [(v, (v * 7 + 3) % 24) for v in range(24)])
         g.vertex_ops = {el.index: el for el in cliffords.ELEMENTS if not el.is_identity()}

@@ -62,6 +62,11 @@ class TestPatternType:
         with pytest.raises(PatternError, match="finite"):
             MeasurementStep(0, angle=angle)
 
+    @pytest.mark.parametrize("angle", [True, False])
+    def test_boolean_angle_rejected(self, angle):
+        with pytest.raises(PatternError, match="not a boolean"):
+            MeasurementStep(0, angle=angle)
+
     def test_nan_angle_in_json_rejected(self):
         text = wire_pattern(3).to_json().replace('"basis": "X"', '"angle": NaN', 1)
         with pytest.raises(PatternError, match="finite"):
