@@ -70,9 +70,6 @@ class ConfigError(ValueError):
 # -- config handling ------------------------------------------------------------
 
 _TOP_KEYS = {"lx", "ly", "dead", "protocol", "seed", "backend", "defects", "timing"}
-_DEFECT_KEYS = {"eps_meas", "p_shuttle", "p_init_e", "p_init_n", "t2n", "t1e"}
-_TIMING_KEYS = {"shuttle_rate", "cphase_total", "meas_rate", "mode",
-                "parallel_shift_count"}
 
 
 def load_config(path: str) -> dict:
@@ -91,13 +88,12 @@ def load_config(path: str) -> dict:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    for sub, keys in (("defects", _DEFECT_KEYS), ("timing", _TIMING_KEYS)):
-        if sub in doc:
-            if not isinstance(doc[sub], dict):
-                raise ConfigError(f"{path}: {sub} must be an object")
-            bad = set(doc[sub]) - keys
-            if bad:
-                raise ConfigError(f"{path}: unknown {sub} keys {sorted(bad)}")
+    # The models check their own keys and values when build-cluster makes them.
+    for sub in ("defects", "timing"):
+        if not isinstance(doc.get(sub, {}), dict):
+            raise ConfigError(f"{path}: {sub} must be an object")
+    if "dead" in doc.get("defects", {}):
+        raise ConfigError(f"{path}: dead sites go in the top-level 'dead', not in defects")
     return doc
 
 
@@ -246,7 +242,7 @@ def cmd_build_cluster(args) -> int:
     try:
         tm = TimingModel(**cfg.get("timing", {}))
         dm = DefectModel(**cfg.get("defects", {}))
-    except (TypeError, ValueError) as exc:  # JSON values of any type reach here
+    except (TypeError, ValueError) as exc:  # an unknown key or a bad value
         raise ConfigError(str(exc)) from exc
     # The engine and the export make hundreds of thousands of sets and
     # strings but no reference cycle: reference counting frees them, and the
@@ -579,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="backend-agreement and predictor property suite")
     v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", default=None)
-    v.add_argument("--format", choices=["text"], default="text")
     v.set_defaults(func=cmd_verify_protocol)
 
     pl = sub.add_parser("pulse", help="composite-gate fidelity sweep (CSV)")
@@ -589,9 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of Rabi frequencies in MHz or 'inst'")
     pl.add_argument("--trend", action="store_true",
                     help="append the selectivity trend summary line")
-    pl.add_argument("--seed", type=_seed)
     pl.add_argument("--out", default=None)
-    pl.add_argument("--format", choices=["csv"], default="csv")
     pl.set_defaults(func=cmd_pulse)
 
     m = sub.add_parser("mbqc", help="execute a measurement pattern")
@@ -610,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--verify-seeds", type=int, default=5)
     m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--out", default=None)
-    m.add_argument("--format", choices=["json"], default="json")
     m.set_defaults(func=cmd_mbqc)
 
     t = sub.add_parser("timing", help="preparation-time table and figure of merit")
@@ -621,9 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cphase-total", type=float, default=1e-7, dest="cphase_total")
     t.add_argument("--meas-rate", type=float, default=4e4, dest="meas_rate")
     t.add_argument("--t2n", type=float, default=2.5)
-    t.add_argument("--seed", type=_seed)
     t.add_argument("--out", default=None)
-    t.add_argument("--format", choices=["csv"], default="csv")
     t.set_defaults(func=cmd_timing)
 
     s = sub.add_parser("survey", help="dead-pixel topology survey")
@@ -634,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pairs", type=int, default=100)
     s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=["json"], default="json")
     s.set_defaults(func=cmd_survey)
     return p
 

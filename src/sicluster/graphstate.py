@@ -25,11 +25,12 @@ from sicluster.cliffords import IDENTITY, Clifford1
 
 _AXIS_OF = {"X": 0, "Y": 1, "Z": 2}
 
-# Largest donor lattice or generated cluster, in sites.  A standard-protocol
-# build and its JSON and DOT export peak at about 1.8 KB per site (644 MiB
-# at 600x600 and 1,689 MiB at 1000x1000, measured on a 2-core 8 GB
-# machine), so 10^6 sites stay under a quarter of it.
+# Largest donor lattice or generated cluster, in sites.  A build and its JSON
+# and DOT export peak at up to 1.8 KiB per site (standard and square: 624 and
+# 642 MiB at 600x600, 1,513 and 1,720 MiB at 1000x1000; BENCH_protocol.json,
+# 2-core 8 GB machine), so 10^6 sites stay under a quarter of it.
 MAX_SITES = 10**6
+MAX_LC_ORBIT = 500_000  # graphs equal_up_to_local_cliffords visits before giving up
 
 
 class SizeCapError(RuntimeError):
@@ -317,7 +318,7 @@ class GraphState:
                 self._compose_op(u, c)
         return fixes
 
-    def equal_up_to_local_cliffords(self, other: "GraphState", max_orbit: int = 500_000):
+    def equal_up_to_local_cliffords(self, other: "GraphState"):
         """Decide LC equivalence of the two adjacencies by orbit search.
 
         Returns (flag, witness): witness is the vertex sequence whose local
@@ -352,9 +353,9 @@ class GraphState:
                         return True, seq
                     seen[key] = seq
                     nxt.append(key)
-                    if len(seen) > max_orbit:
+                    if len(seen) > MAX_LC_ORBIT:
                         raise RuntimeError(
-                            f"LC orbit exceeded {max_orbit} graphs; "
+                            f"LC orbit exceeded {MAX_LC_ORBIT} graphs; "
                             "equal_up_to_local_cliffords is bounded to small n")
             frontier = nxt
         return False, None

@@ -464,20 +464,24 @@ def draw_init_flips(lattice: DonorLattice, p_nuclear: float, p_electron: float,
     return flips[0], flips[1]
 
 
+def flip_probability(species: str, polarization: float) -> float:
+    """(1 - p) / 2, the chance that a spin of polarization p in (0, 1] starts flipped."""
+    if not 0.0 < polarization <= 1.0:
+        raise ValueError(f"{species} polarization must be in (0, 1], got {polarization}")
+    return (1.0 - polarization) / 2.0
+
+
 def cool_and_prepare(lattice: DonorLattice, p_electron: float = 1.0,
                      p_nuclear: float = 1.0, rng=None) -> dict:
     """Model SWAP-cooled initialization followed by global pi/2 pulses.
 
     With polarization p < 1 each spin independently starts flipped with
-    probability (1 - p) / 2; the flips are reported as injected X errors on
-    the pre-pulse state.  Dead sites host no donor and are skipped.
+    probability ``flip_probability``; the flips are reported as injected X
+    errors on the pre-pulse state.  Dead sites host no donor and are skipped.
     """
-    for name, p in (("electron", p_electron), ("nuclear", p_nuclear)):
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"{name} polarization must be in (0, 1], got {p}")
+    pe, pn = flip_probability("electron", p_electron), flip_probability("nuclear", p_nuclear)
     if rng is None:
         rng = np.random.default_rng(0)
-    pe, pn = (1.0 - p_electron) / 2.0, (1.0 - p_nuclear) / 2.0
     nuclear, electrons = draw_init_flips(lattice, pn, pe, rng)
     return {"electron_flip_prob": pe, "nuclear_flip_prob": pn,
             "electron_flips": electrons, "nuclear_flips": nuclear}

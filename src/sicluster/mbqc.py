@@ -70,9 +70,10 @@ class MeasurementStep:
             raise PatternError("step needs exactly one of basis/angle")
         if self.basis is not None and self.basis not in ("X", "Y", "Z"):
             raise PatternError(f"bad basis {self.basis!r}")
-        if self.angle is not None and (isinstance(self.angle, bool)
-                                       or not math.isfinite(self.angle)):
+        if isinstance(self.angle, bool):
             raise PatternError(f"angle must be a finite number, not a boolean, got {self.angle!r}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise PatternError(f"angle must be a finite number, got {self.angle!r}")
         if self.basis == "Z" and (self.s_adapt or self.t_adapt):
             raise PatternError("Z-basis steps take no adaptation sets")
         object.__setattr__(self, "s_adapt", frozenset(self.s_adapt))

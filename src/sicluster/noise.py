@@ -22,6 +22,7 @@ from sicluster.lattice import (
     DonorLattice,
     RunResult,
     draw_init_flips,
+    flip_probability,
     nucleus,
     predicted_edge_set,
     run_protocol,
@@ -30,8 +31,16 @@ from sicluster.mbqc import carve_wire  # noqa: F401  (the benchmark tracer patch
 from sicluster.rng import substream
 
 
+T1E_RESET_MULTIPLIER = 3.0  # each electron reset waits this many T1e
+
+
+def _is_real(v) -> bool:
+    """Whether v is a real number: an int or float, but not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _finite_positive(v: float) -> bool:
-    return math.isfinite(v) and v > 0
+    return _is_real(v) and math.isfinite(v) and v > 0
 
 
 @dataclass
@@ -40,8 +49,7 @@ class DefectModel:
 
     No measured value exists for shuttle dephasing or measurement error;
     those default to zero and carry no physical claim.  T2n defaults to
-    2.5 s, consistent with nuclear coherence "in excess of seconds"; T1e is
-    bookkept only for electron reset waits.
+    2.5 s, consistent with nuclear coherence "in excess of seconds".
     """
 
     dead: set = field(default_factory=set)
@@ -50,26 +58,21 @@ class DefectModel:
     p_init_e: float = 0.0
     p_init_n: float = 0.0
     t2n: float = 2.5
-    t1e: float = 1.0
 
     def __post_init__(self):
         self.dead = {(int(i), int(j)) for i, j in self.dead}
         for name in ("eps_meas", "p_shuttle", "p_init_e", "p_init_n"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("t2n", "t1e"):
-            if not _finite_positive(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and positive")
+            if not (_is_real(v) and 0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must be a real number in [0, 1], got {v!r}")
+        if not _finite_positive(self.t2n):
+            raise ValueError(f"t2n must be a finite positive real number, got {self.t2n!r}")
 
     @classmethod
     def from_polarizations(cls, p_electron: float = 1.0, p_nuclear: float = 1.0,
                            **kwargs) -> "DefectModel":
-        for name, p in (("electron", p_electron), ("nuclear", p_nuclear)):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"{name} polarization must be in (0, 1]")
-        return cls(p_init_e=(1.0 - p_electron) / 2.0,
-                   p_init_n=(1.0 - p_nuclear) / 2.0, **kwargs)
+        return cls(p_init_e=flip_probability("electron", p_electron),
+                   p_init_n=flip_probability("nuclear", p_nuclear), **kwargs)
 
 
 @dataclass
@@ -89,17 +92,18 @@ class TimingModel:
 
     def __post_init__(self):
         for name in ("shuttle_rate", "cphase_total", "meas_rate"):
-            if not _finite_positive(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and positive")
+            v = getattr(self, name)
+            if not _finite_positive(v):
+                raise ValueError(f"{name} must be a finite positive real number, got {v!r}")
         if self.mode not in ("sequential", "parallel"):
             raise ValueError(f"mode must be sequential or parallel, got {self.mode!r}")
-        if self.parallel_shift_count < 1:
-            raise ValueError("parallel_shift_count must be >= 1")
+        n = self.parallel_shift_count
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"parallel_shift_count must be an integer >= 1, got {n!r}")
 
 
 def preparation_time(n_qubits: int, tm: TimingModel, mode: str | None = None,
-                     reset_waits: int = 0, t1e: float = 0.0,
-                     t1e_multiplier: float = 3.0) -> float:
+                     reset_waits: int = 0, t1e: float = 0.0) -> float:
     """Cluster growth time for an N-qubit device.
 
     Sequential shuttling costs sqrt(N) hops at the shuttle rate (about
@@ -118,7 +122,7 @@ def preparation_time(n_qubits: int, tm: TimingModel, mode: str | None = None,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if reset_waits:
-        t += reset_waits * t1e_multiplier * t1e
+        t += reset_waits * T1E_RESET_MULTIPLIER * t1e
     return t
 
 
@@ -139,7 +143,6 @@ class NoiseInjector:
     def __init__(self, dm: DefectModel, tm: TimingModel, seed: int):
         self.dm = dm
         self.tm = tm
-        self.seed = seed
         self.error_log: list[tuple] = []
         self._rng_init = substream(seed, "noise-init")
         self._rng_shuttle = substream(seed, "noise-shuttle")

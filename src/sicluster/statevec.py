@@ -29,6 +29,7 @@ from sicluster.tableau import (  # noqa: F401  (SizeCapError is re-exported)
 
 MAX_QUBITS = 22
 ATOL = 1e-9
+SUPPORT_TOL = 1e-8  # amplitudes below this share of the largest count as zero
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 MAT_I = np.eye(2, dtype=complex)
@@ -518,16 +519,16 @@ def _lowest_bit_split(d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, low
 
 
-def _support(psi: np.ndarray, tol: float) -> np.ndarray:
+def _support(psi: np.ndarray) -> np.ndarray:
     """Indices of the amplitudes above half the largest magnitude.  Raises
-    ValueError on a zero state or on a magnitude between tol and half the
-    largest, relative to the largest."""
+    ValueError on a zero state or on a magnitude between SUPPORT_TOL and half
+    the largest, relative to the largest."""
     mag = np.abs(psi)
     amax = mag.max()
-    if amax < tol:
+    if amax < SUPPORT_TOL:
         raise ValueError("zero state")
     support = np.flatnonzero(mag > 0.5 * amax)
-    if np.count_nonzero(mag > tol * amax) > support.size:
+    if np.count_nonzero(mag > SUPPORT_TOL * amax) > support.size:
         raise ValueError("amplitude magnitudes are not uniform on the support")
     return support
 
@@ -578,8 +579,7 @@ def _phase_quarters(psi: np.ndarray, t0: int, span: np.ndarray) -> np.ndarray:
     return quarter.astype(np.int8) & 3
 
 
-def stabilizer_matrix(psi: np.ndarray,
-                      tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stabilizer_matrix(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n commuting generators of a dense stabilizer state as (x, z, r):
     the (n, n) bool X and Z blocks and the bool signs that
     ``tableau.graph_from_stab_matrix`` reduces.
@@ -597,7 +597,7 @@ def stabilizer_matrix(psi: np.ndarray,
     n = max(dim.bit_length() - 1, 0)
     if 1 << n != dim:
         raise ValueError("amplitude count is not a power of two")
-    offsets = _support(psi, tol)
+    offsets = _support(psi)
     d = offsets.size
     k = d.bit_length() - 1
     if 1 << k != d:
@@ -669,8 +669,8 @@ def stabilizer_matrix(psi: np.ndarray,
     return bits[:n], bits[n:], np.array(signs, bool)
 
 
-def tableau_from_statevector(psi: np.ndarray, tol: float = 1e-8) -> StabilizerTableau:
+def tableau_from_statevector(psi: np.ndarray) -> StabilizerTableau:
     """Tableau of a dense stabilizer state, in the graph form of its
     stabilizer group.  Raises ValueError as ``stabilizer_matrix`` does."""
     return from_graph_state(GraphState.adopt(*graph_from_stab_matrix(
-        *stabilizer_matrix(psi, tol))))
+        *stabilizer_matrix(psi))))

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic outputs."""
 
+import argparse
 import gc
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from sicluster import cli
 from sicluster.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NO_PATH, EXIT_RESOURCE, main
 from sicluster.lattice import DonorLattice, predicted_edge_set, standard_protocol
+from sicluster.mbqc import wire_pattern
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -37,6 +39,36 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for args in readme_cli_commands():
         assert run_cli(args) == 0, args
+
+
+def test_every_option_is_read(tmp_path, monkeypatch):
+    """Each option of each subcommand is read by the README commands or a
+    pattern-file run: an option nothing reads is one a user sets in vain."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wire.json").write_text(wire_pattern(3).to_json())
+    runs = readme_cli_commands() + [
+        ["mbqc", "--cluster", "line:3", "--pattern", "wire.json", "--target", "identity"]]
+    reads: set[str] = set()
+
+    class ReadRecorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    read: dict[str, set[str]] = {}
+    for argv in runs:
+        rec = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+        reads.clear()  # parsing reads every option; only the command's reads count
+        assert rec.func(rec) == 0, argv
+        read.setdefault(argv[0], set()).update(reads)
+
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unread = sorted(f"{name} {action.option_strings[0]}"
+                    for name, parser in subparsers.choices.items()
+                    for action in parser._actions
+                    if action.dest != "help" and action.dest not in read.get(name, ()))
+    assert unread == []
 
 
 class TestBuildCluster:
@@ -89,12 +121,24 @@ class TestBuildCluster:
         {"defects": {"t2n": "long"}},
         {"timing": {"mode": "warp"}},
         {"defects": {"dead": [[1, 1]]}},  # dead sites are the top-level "dead"
+        {"defects": {"eps_meas": True}},
+        {"defects": {"t2n": True}},
+        {"timing": {"shuttle_rate": True}},
+        {"timing": {"parallel_shift_count": 2.5}},
+        {"defects": {"t1e": 1.0}},
+        {"timing": {"warp": 1}},
     ])
-    def test_bad_model_parameters_are_config_errors(self, tmp_path, model):
+    def test_bad_model_parameters_are_config_errors(self, tmp_path, model, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lx": 2, "ly": 2, **model}))
         rc = run_cli(["build-cluster", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        (section,) = model.values()
+        (key,) = section
+        assert key in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config", [
         '{"lx": "a", "ly": 2}',
@@ -331,12 +375,15 @@ class TestMbqc:
         assert run_cli(["mbqc", "--cluster", "line:3",
                         "--pattern", str(pf)]) == EXIT_CONFIG
 
-    def test_non_finite_builtin_angle_is_a_config_error(self, tmp_path):
+    def test_non_finite_builtin_angle_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        rc = run_cli(["mbqc", "--cluster", "line:5", "--builtin", "rotation:nan,0,0",
-                      "--out", str(out)])
-        assert rc == EXIT_CONFIG
-        assert not out.exists()
+        for angle in ("nan", "inf", "-inf"):
+            rc = run_cli(["mbqc", "--cluster", "line:5", "--builtin", f"rotation:{angle},0,0",
+                          "--out", str(out)])
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "angle must be a finite number, got " in err and "boolean" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
         [1, 2], None, "vertices", {"vertices": [0, 1], "edges": []},
@@ -366,12 +413,14 @@ class TestMbqc:
         assert "bad cluster file" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
-    def test_nan_angle_in_pattern_file_is_a_config_error(self, tmp_path):
+    def test_nan_angle_in_pattern_file_is_a_config_error(self, tmp_path, capsys):
         pf = tmp_path / "pattern.json"
-        pf.write_text('{"inputs": [0], "outputs": [2], "corrections": {}, "steps": '
-                      '[{"v": 0, "angle": NaN}, {"v": 1, "basis": "X"}]}')
-        assert run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf),
-                        "--target", "identity", "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+        for angle, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+            pf.write_text('{"inputs": [0], "outputs": [2], "corrections": {}, "steps": '
+                          f'[{{"v": 0, "angle": {angle}}}, {{"v": 1, "basis": "X"}}]}}')
+            assert run_cli(["mbqc", "--cluster", "line:3", "--pattern", str(pf), "--target",
+                            "identity", "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+            assert f"angle must be a finite number, got {shown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("angle", ["true", "false"])
     def test_boolean_angle_in_pattern_file_is_a_config_error(self, tmp_path, capsys, angle):

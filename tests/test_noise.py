@@ -104,7 +104,7 @@ class TestDefectModel:
         with pytest.raises(ValueError):
             DefectModel(t2n=-1)
 
-    @pytest.mark.parametrize("name", ["t2n", "t1e"])
+    @pytest.mark.parametrize("name", ["t2n"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_times_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
